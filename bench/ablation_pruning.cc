@@ -71,7 +71,11 @@ void Run() {
   PrintHeader(
       "E9: pruning ablation vs into-constraint density (full enumeration, "
       "5 seeds)");
+  // The paper's search (monolithic, id order), so each column isolates
+  // the pruning rules alone.
   DimsatOptions all_on;
+  all_on.decompose = false;
+  all_on.branch_heuristic = false;
   DimsatOptions no_into = all_on;
   no_into.prune_into = false;
   DimsatOptions no_structural = all_on;

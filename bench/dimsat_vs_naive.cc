@@ -43,7 +43,10 @@ void Run() {
           Unwrap(GenerateConstrainedSchema(hierarchy, constraint_options));
       CategoryId base = ds.hierarchy().FindCategory("Base");
 
+      // The paper's DIMSAT (monolithic, id order) against brute force.
       DimsatOptions dimsat_options;
+      dimsat_options.decompose = false;
+      dimsat_options.branch_heuristic = false;
       dimsat_options.enumerate_all = true;
       WallTimer dimsat_timer;
       DimsatResult dimsat = Dimsat(ds, base, dimsat_options);

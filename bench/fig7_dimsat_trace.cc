@@ -20,7 +20,10 @@ void Run() {
   CategoryId store = schema.FindCategory("Store");
 
   PrintHeader("Figure 7: DIMSAT(locationSch, Store) execution trace");
+  // The paper's search: monolithic, categories expanded in id order.
   DimsatOptions options;
+  options.decompose = false;
+  options.branch_heuristic = false;
   options.collect_trace = true;
   DimsatResult r = Dimsat(ds, store, options);
   OLAPDC_CHECK(r.status.ok());

@@ -181,7 +181,11 @@ void RunWorkload(BenchReporter& reporter, const WorkloadCase& workload,
 }
 
 void Run() {
+  // Monolithic id-order search, so the drivers split the same tree the
+  // committed BENCH_parallel rows measured.
   DimsatOptions options;
+  options.decompose = false;
+  options.branch_heuristic = false;
   options.enumerate_all = true;
   options.max_frozen = 1 << 20;
 

@@ -41,7 +41,11 @@ Sample Measure(double into_fraction, int levels, int width, uint64_t seed) {
   DimensionSchema ds =
       Unwrap(GenerateConstrainedSchema(hierarchy, constraint_options));
 
+  // The paper's search (monolithic, id order), whose Prop 4 scaling
+  // the table reproduces.
   DimsatOptions options;
+  options.decompose = false;
+  options.branch_heuristic = false;
   options.enumerate_all = true;  // full exploration, not first-hit luck
   options.max_frozen = 1 << 14;
   WallTimer timer;

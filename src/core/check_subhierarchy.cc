@@ -7,9 +7,9 @@
 
 namespace olapdc {
 
-CheckOutcome CheckSubhierarchy(
-    const std::vector<DimensionConstraint>& relevant, const Subhierarchy& g,
-    const CheckOptions& options) {
+CheckOutcome CheckSubhierarchy(std::span<const DimensionConstraint> relevant,
+                               const Subhierarchy& g,
+                               const CheckOptions& options) {
   CheckOutcome outcome;
 
   // One reachability closure serves all three phases of the check:

@@ -14,6 +14,7 @@
 #define OLAPDC_CORE_CHECK_SUBHIERARCHY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/assignment.h"
@@ -40,8 +41,10 @@ struct CheckOutcome {
 
 /// Runs CHECK(g). `relevant` must be Sigma(ds, root) with
 /// composed/through shorthands already expanded (see dimsat.cc's
-/// PrepareRelevantConstraints); `g` must contain the root.
-CheckOutcome CheckSubhierarchy(const std::vector<DimensionConstraint>& relevant,
+/// PrepareRelevantConstraints) — or, for a component search of a
+/// decomposed run, the component's share of it; `g` must contain the
+/// root.
+CheckOutcome CheckSubhierarchy(std::span<const DimensionConstraint> relevant,
                                const Subhierarchy& g,
                                const CheckOptions& options = {});
 

@@ -9,6 +9,10 @@ namespace olapdc {
 
 namespace {
 
+/// Summary-line suffix of a checkpoint captured under most-constrained-
+/// first branching (no suffix: id order).
+constexpr char kMostConstrainedOrder[] = " order most-constrained";
+
 /// %-escapes whitespace, '%', and the empty string so an assignment
 /// name survives the whitespace-separated checkpoint format.
 std::string EscapeName(const std::string& name) {
@@ -72,13 +76,13 @@ bool ReadEdges(std::istringstream& in,
 
 std::string DimsatCheckpoint::Serialize() const {
   std::ostringstream out;
+  const char* const order = branch_heuristic ? kMostConstrainedOrder : "";
   if (num_components == 0) {
-    // Monolithic checkpoints keep the v1 format byte-for-byte so every
-    // pre-decomposition consumer (and any stored checkpoint text)
-    // keeps round-tripping unchanged.
+    // Monolithic checkpoints keep the v1 format, so id-order checkpoint
+    // text round-trips byte-for-byte with pre-decomposition consumers.
     out << "dimsat-checkpoint v1\n";
     out << "root " << root << " categories " << num_categories << " frames "
-        << frames.size() << "\n";
+        << frames.size() << order << "\n";
     for (const DimsatCheckpointFrame& frame : frames) {
       out << "frame " << frame.next_mask << " " << frame.depth << " ";
       WriteEdges(out, frame.g.Edges());
@@ -89,7 +93,7 @@ std::string DimsatCheckpoint::Serialize() const {
   out << "dimsat-checkpoint v2\n";
   out << "root " << root << " categories " << num_categories << " frames "
       << frames.size() << " components " << num_components << " solved "
-      << solved.size() << "\n";
+      << solved.size() << order << "\n";
   for (const DimsatCheckpointFrame& frame : frames) {
     out << "frame " << frame.component << " " << frame.next_mask << " "
         << frame.depth << " ";
@@ -144,6 +148,15 @@ Result<DimsatCheckpoint> DimsatCheckpoint::Deserialize(
         cp.num_components < 2) {
       return Status::ParseError("malformed v2 checkpoint summary line");
     }
+  }
+  // The rest of the summary line: the optional branching order.
+  std::string rest;
+  std::getline(in, rest);
+  if (!rest.empty()) {
+    if (rest != kMostConstrainedOrder) {
+      return Status::ParseError("malformed checkpoint order suffix");
+    }
+    cp.branch_heuristic = true;
   }
   if (cp.num_categories <= 0 || cp.root < 0 ||
       cp.root >= cp.num_categories) {

@@ -80,22 +80,34 @@ struct DimsatCheckpoint {
   /// the interrupted run finished.
   int num_components = 0;
   std::vector<DimsatSolvedComponent> solved;
+  /// Branching order of the run that captured the checkpoint: true for
+  /// most-constrained-first (DimsatOptions::branch_heuristic), false
+  /// for id order. A frame's next_mask indexes the successor subsets of
+  /// the category *that* order picked, so ResumeDimsat() replays the
+  /// frames under the recorded order, never the resumer's.
+  bool branch_heuristic = false;
 
   bool empty() const { return frames.empty() && solved.empty(); }
 
   /// Line-oriented text form, stable across runs. Monolithic
-  /// checkpoints keep the v1 format bit-for-bit:
+  /// checkpoints use the v1 format:
   ///   dimsat-checkpoint v1
-  ///   root <r> categories <n> frames <k>
+  ///   root <r> categories <n> frames <k> [order most-constrained]
   ///   frame <next_mask> <depth> <edges> <u1> <v1> ... <ue> <ve>
   /// Decomposed checkpoints (num_components > 0) emit v2, which tags
   /// every frame with its component and appends the solved-component
   /// model sets (assignment names %-escaped):
   ///   dimsat-checkpoint v2
   ///   root <r> categories <n> frames <k> components <w> solved <s>
+  ///       [order most-constrained]
   ///   frame <component> <next_mask> <depth> <edges> <u> <v> ...
   ///   solved <component> <models>
   ///   model <edges> <u> <v> ... <assigned> <cat> <name> ...
+  /// The optional `order` suffix of the summary line records
+  /// branch_heuristic; its absence means id order, which is how every
+  /// checkpoint written before the suffix existed was captured (and a
+  /// reader that predates the suffix rejects such text instead of
+  /// misresuming it).
   std::string Serialize() const;
 
   /// Inverse of Serialize(). Rejects malformed input, version

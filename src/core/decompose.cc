@@ -53,28 +53,27 @@ bool EvalAllFalse(const Expr& e) {
   return false;
 }
 
-/// Every category an expression's atoms reference, as a bitset.
-void CollectMentioned(const Expr& e, DynamicBitset* out) {
+/// Adds every category an expression's atoms reference to `out`.
+/// Returns false as soon as an equality or order atom targets `a` or
+/// `b` (the G4 gate: assignment branching on a shared category).
+bool CollectMentioned(const Expr& e, CategoryId a, CategoryId b,
+                      DynamicBitset* out) {
   if (e.IsAtom()) {
+    if ((e.kind == ExprKind::kEqualityAtom ||
+         e.kind == ExprKind::kOrderAtom) &&
+        (e.target == a || e.target == b)) {
+      return false;
+    }
     for (CategoryId c : e.path) out->set(c);
     if (e.root != kNoCategory) out->set(e.root);
     if (e.via != kNoCategory) out->set(e.via);
     if (e.target != kNoCategory) out->set(e.target);
-    return;
-  }
-  for (const ExprPtr& c : e.children) CollectMentioned(*c, out);
-}
-
-/// True iff some equality or order atom targets `a` or `b` (the G4
-/// gate: assignment branching on a shared category).
-bool TargetsSharedCategory(const Expr& e, CategoryId a, CategoryId b) {
-  if (e.kind == ExprKind::kEqualityAtom || e.kind == ExprKind::kOrderAtom) {
-    return e.target == a || e.target == b;
+    return true;
   }
   for (const ExprPtr& c : e.children) {
-    if (TargetsSharedCategory(*c, a, b)) return true;
+    if (!CollectMentioned(*c, a, b, out)) return false;
   }
-  return false;
+  return true;
 }
 
 uint64_t MixSalt(uint64_t a, uint64_t b) {
@@ -130,12 +129,23 @@ ComponentSplit ComputeComponentSplit(
   };
   auto unite = [&](int a, int b) { parent[find(a)] = find(b); };
 
-  // (a) Hierarchy edges between intermediate categories.
+  // (a) Hierarchy edges between intermediate categories. Constraint
+  // coupling only ever merges these groups, so a hierarchy that is
+  // connected above the root (most schemas) is settled here, before
+  // any constraint is looked at.
   inter.ForEach([&](int u) {
     for (CategoryId v : schema.graph().OutNeighbors(u)) {
       if (inter.test(v)) unite(u, v);
     }
   });
+  int hierarchy_groups = 0;
+  inter.ForEach([&](int c) {
+    if (find(c) == c) ++hierarchy_groups;
+  });
+  if (hierarchy_groups < 2) {
+    split.ineligible_reason = "single weakly connected component";
+    return split;
+  }
 
   // (b) Constraint coupling: all intermediate categories one
   // constraint mentions share a component. Gates that make a
@@ -149,13 +159,12 @@ ComponentSplit ComputeComponentSplit(
       split.ineligible_reason = "relevant constraint is literally False";
       return split;
     }
-    if (TargetsSharedCategory(e, root, all)) {
+    mentioned.clear();
+    if (!CollectMentioned(e, root, all, &mentioned)) {
       split.ineligible_reason =
           "equality/order atom targets the query root or All";
       return split;
     }
-    mentioned.clear();
-    CollectMentioned(e, &mentioned);
     mentioned &= inter;
     CategoryId first = kNoCategory;
     mentioned.ForEach([&](int c) {
@@ -173,14 +182,14 @@ ComponentSplit ComputeComponentSplit(
     anchor[i] = first;
   }
 
-  // Components in ascending order of their smallest member.
-  std::vector<int> comp_of(n, -1);
+  // Components in ascending order of their smallest member: comp[c]
+  // is c's component, set through its representative find(c) first.
+  std::vector<int> comp(n, -1);
   int num_components = 0;
-  std::vector<int> comp_id_of_root(n, -1);
   inter.ForEach([&](int c) {
     const int r = find(c);
-    if (comp_id_of_root[r] < 0) comp_id_of_root[r] = num_components++;
-    comp_of[c] = comp_id_of_root[r];
+    if (comp[r] < 0) comp[r] = num_components++;
+    comp[c] = comp[r];
   });
   if (num_components < 2) {
     split.ineligible_reason = "single weakly connected component";
@@ -192,14 +201,24 @@ ComponentSplit ComputeComponentSplit(
     split.universes[k].set(root);
     split.universes[k].set(all);
   }
-  inter.ForEach([&](int c) { split.universes[comp_of[c]].set(c); });
+  inter.ForEach([&](int c) { split.universes[comp[c]].set(c); });
 
-  split.constraint_indices.assign(num_components, {});
+  // Counting sort of the assigned constraints by component: count
+  // component k's constraints into begin[k + 2], so that after the
+  // prefix sum begin[k + 1] is k's first slot; placing advances it to
+  // k's end, which is where k + 1 begins.
+  std::vector<size_t>& begin = split.constraint_begin;
+  begin.assign(num_components + 2, 0);
+  for (size_t i = 0; i < relevant.size(); ++i) {
+    if (anchor[i] != kNoCategory) ++begin[comp[anchor[i]] + 2];
+  }
+  for (int k = 2; k <= num_components + 1; ++k) begin[k] += begin[k - 1];
+  split.constraint_order.resize(begin[num_components + 1]);
   split.absent_valid.assign(num_components, true);
   for (size_t i = 0; i < relevant.size(); ++i) {
     if (anchor[i] == kNoCategory) continue;  // vacuous True constraint
-    const int k = comp_of[anchor[i]];
-    split.constraint_indices[k].push_back(i);
+    const int k = comp[anchor[i]];
+    split.constraint_order[begin[k + 1]++] = i;
     // Only constraints rooted at the query root can be non-vacuous on
     // a model that omits this component (intermediate-rooted ones lose
     // their root along with the component).
@@ -207,6 +226,7 @@ ComponentSplit ComputeComponentSplit(
       split.absent_valid[k] = false;
     }
   }
+  begin.pop_back();
 
   split.salts.reserve(num_components);
   for (int k = 0; k < num_components; ++k) {

@@ -41,7 +41,6 @@
 #define OLAPDC_CORE_DECOMPOSE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/bitset.h"
@@ -57,16 +56,19 @@ struct ComponentSplit {
   /// the monolithic search. The remaining fields are then empty.
   bool eligible = false;
   /// Which gate tripped (diagnostics only).
-  std::string ineligible_reason;
+  const char* ineligible_reason = "";
   /// Per component: its intermediate categories plus root and All —
   /// the category universe its EXPAND is restricted to. Component
   /// order is deterministic (by smallest member id).
   std::vector<DynamicBitset> universes;
-  /// Per component: indices into the caller's prepared relevant-
-  /// constraint vector of the constraints whose atoms mention this
-  /// component's categories. Every relevant constraint lands in
-  /// exactly one component (vacuous True constraints in none).
-  std::vector<std::vector<size_t>> constraint_indices;
+  /// Indices into the caller's prepared relevant-constraint vector,
+  /// grouped by component (ascending within a component): component k
+  /// owns constraint_order[constraint_begin[k] .. constraint_begin[k+1])
+  /// — the constraints whose atoms mention its categories. Every
+  /// relevant constraint lands in exactly one component (vacuous True
+  /// constraints in none).
+  std::vector<size_t> constraint_order;
+  std::vector<size_t> constraint_begin;
   /// Per component: true iff a model may leave this component entirely
   /// absent — every root-rooted constraint assigned to it evaluates
   /// True when all of its atoms are false (the all-absent valuation).

@@ -7,7 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -162,7 +162,7 @@ class DimsatSearch {
   /// of the search (parallel tasks share one prepared vector).
   DimsatSearch(const DimensionSchema& ds, CategoryId root,
                const DimsatOptions& options,
-               const std::vector<DimensionConstraint>& relevant)
+               std::span<const DimensionConstraint> relevant)
       : ds_(ds),
         schema_(ds.hierarchy()),
         root_(root),
@@ -203,25 +203,15 @@ class DimsatSearch {
     }
   }
 
-  DimsatResult Run() {
-    return RunFrom(Subhierarchy(schema_.num_categories(), root_), 0);
-  }
+  /// Searches from the bare root (the subhierarchy the constructor
+  /// built).
+  DimsatResult Run() { return Start(0); }
 
   /// Continues the search from a partially built subhierarchy at the
   /// given recursion depth (the parallel drivers seed tasks this way).
   DimsatResult RunFrom(Subhierarchy seed, int depth) {
     g_ = std::move(seed);
-    Status base = mem_.Reserve(subhierarchy_bytes_, "dimsat.search");
-    if (!base.ok()) {
-      // Too exhausted even for the working set: the whole subtree is
-      // captured unprocessed and nothing is counted.
-      result_.status = std::move(base);
-      MaybeCapture(depth, 0);
-    } else {
-      Expand(depth);
-    }
-    Finish();
-    return std::move(result_);
+    return Start(depth);
   }
 
   /// Replays an interrupted run's frontier, deepest frame first (the
@@ -231,25 +221,50 @@ class DimsatSearch {
   /// which preserves deepest-first order, since Expand's captures all
   /// lie inside the currently replayed (deepest remaining) frame.
   DimsatResult RunResume(DimsatCheckpoint&& from) {
-    Status base = mem_.Reserve(subhierarchy_bytes_, "dimsat.search");
-    if (!base.ok()) {
-      result_.status = std::move(base);
-      AppendRemaining(&from, 0);
-      Finish();
-      return std::move(result_);
-    }
-    for (size_t i = 0; i < from.frames.size(); ++i) {
-      if (!ShouldContinue()) {
-        if (IsBudgetError(result_.status)) AppendRemaining(&from, i);
-        break;
-      }
-      DimsatCheckpointFrame& frame = from.frames[i];
-      g_ = std::move(frame.g);
-      Expand(frame.depth, frame.next_mask);
-    }
+    Replay(&from.frames);
     Finish();
     return std::move(result_);
   }
+
+  /// Component searches of a decomposed run (core/decompose.h) share
+  /// one search — its subhierarchy, undo log, memory reservation,
+  /// budget checker and statistics — and run one after another.
+  /// SolveComponent() restricts successor choices to `universe` (the
+  /// component's categories plus root and All), checks against the
+  /// component's constraints, tags captured checkpoint frames with
+  /// `component`, and returns the component's models. It replays
+  /// `*frames` when non-empty (a resumed component) and otherwise
+  /// searches from the bare root. Statistics accumulate across
+  /// components, so max_expand_calls caps the whole run; a non-OK
+  /// status() after the call means the run stopped in this component.
+  /// `universe` and `relevant` are borrowed until the next call.
+  std::vector<FrozenDimension> SolveComponent(
+      int component, const DynamicBitset& universe,
+      std::span<const DimensionConstraint> relevant, uint64_t nogood_salt,
+      std::vector<DimsatCheckpointFrame>* frames) {
+    component_ = component;
+    universe_ = &universe;
+    relevant_ = relevant;
+    if (nogoods_ != nullptr) nogood_salt_ = nogood_salt;
+    if (!frames->empty()) {
+      Replay(frames);
+      // The replayed frames left their subhierarchies behind; later
+      // components start from the bare root again.
+      g_ = Subhierarchy(schema_.num_categories(), root_);
+    } else if (ReserveWorkingSet()) {
+      // Every fresh search rolls g_ back to the bare root on the way
+      // out, so the previous component left it ready.
+      Expand(0);
+    } else {
+      MaybeCapture(0, 0);
+    }
+    std::vector<FrozenDimension> models;
+    models.swap(result_.frozen);
+    return models;
+  }
+
+  const DimsatStats& stats() const { return result_.stats; }
+  const Status& status() const { return result_.status; }
 
   /// Shared early-stop flag for parallel runs: once any worker decides
   /// the global answer, the others abandon their subtrees.
@@ -265,22 +280,65 @@ class DimsatSearch {
   }
 
   /// Restricts successor choices to a category universe — the
-  /// component searches of a decomposed run (core/decompose.h) pass
-  /// their component's categories plus root and All. Null (the
-  /// default) leaves the search unrestricted. Not owned; must outlive
-  /// the search.
+  /// component tasks of the parallel decomposed driver pass their
+  /// component's categories plus root and All. Null (the default)
+  /// leaves the search unrestricted. Not owned; must outlive the
+  /// search.
   void set_universe(const DynamicBitset* universe) { universe_ = universe; }
 
   /// Most-constrained-first branching (options.branch_heuristic):
   /// EXPAND picks the pending category with the smallest rank instead
   /// of the smallest id. Not owned; must outlive the search.
-  void set_branch_rank(const std::vector<int>* rank) { branch_rank_ = rank; }
-
-  /// Tags every captured checkpoint frame with a component id
-  /// (decomposed runs); -1 (the default) marks monolithic frames.
-  void set_component(int component) { component_ = component; }
+  void set_branch_rank(const std::vector<uint64_t>* rank) {
+    branch_rank_ = rank;
+  }
 
  private:
+  /// Searches from g_ at `depth`.
+  DimsatResult Start(int depth) {
+    if (ReserveWorkingSet()) {
+      Expand(depth);
+    } else {
+      // Too exhausted even for the working set: the whole subtree is
+      // captured unprocessed and nothing is counted.
+      MaybeCapture(depth, 0);
+    }
+    Finish();
+    return std::move(result_);
+  }
+
+  /// Charges the search's working set, once per search (component
+  /// searches share it). False, with the budget error in
+  /// result_.status, when the memory budget cannot cover it.
+  bool ReserveWorkingSet() {
+    if (working_set_reserved_) return true;
+    Status reserve = mem_.Reserve(subhierarchy_bytes_, "dimsat.search");
+    if (!reserve.ok()) {
+      result_.status = std::move(reserve);
+      return false;
+    }
+    working_set_reserved_ = true;
+    return true;
+  }
+
+  /// Replays checkpoint frames deepest first (see RunResume()).
+  void Replay(std::vector<DimsatCheckpointFrame>* frames) {
+    if (!ReserveWorkingSet()) {
+      AppendRemaining(frames, 0);
+      return;
+    }
+    for (size_t i = 0; i < frames->size(); ++i) {
+      if (!ShouldContinue()) {
+        if (IsBudgetError(result_.status)) AppendRemaining(frames, i);
+        break;
+      }
+      DimsatCheckpointFrame& frame = (*frames)[i];
+      g_ = std::move(frame.g);
+      Expand(frame.depth, frame.next_mask);
+    }
+    frames->clear();
+  }
+
   void Trace(DimsatTraceEvent::Kind kind, const Subhierarchy& g) {
     if (!options_.collect_trace ||
         result_.trace.size() >= options_.max_trace) {
@@ -330,18 +388,21 @@ class DimsatSearch {
     if (checkpoint_ == nullptr || !IsBudgetError(result_.status)) return;
     checkpoint_->root = root_;
     checkpoint_->num_categories = schema_.num_categories();
+    checkpoint_->branch_heuristic = branch_rank_ != nullptr;
     checkpoint_->frames.push_back(
         DimsatCheckpointFrame{g_, next_mask, depth, component_});
   }
 
   /// Hands frames[start..] of an interrupted resume back to the new
   /// checkpoint (they were never replayed).
-  void AppendRemaining(DimsatCheckpoint* from, size_t start) {
+  void AppendRemaining(std::vector<DimsatCheckpointFrame>* frames,
+                       size_t start) {
     if (checkpoint_ == nullptr) return;
     checkpoint_->root = root_;
     checkpoint_->num_categories = schema_.num_categories();
-    for (size_t j = start; j < from->frames.size(); ++j) {
-      checkpoint_->frames.push_back(std::move(from->frames[j]));
+    checkpoint_->branch_heuristic = branch_rank_ != nullptr;
+    for (size_t j = start; j < frames->size(); ++j) {
+      checkpoint_->frames.push_back(std::move((*frames)[j]));
     }
   }
 
@@ -503,7 +564,7 @@ class DimsatSearch {
     // interrupted run's exact choice.
     CategoryId ctop = pending.First();
     if (branch_rank_ != nullptr) {
-      int best = (*branch_rank_)[ctop];
+      uint64_t best = (*branch_rank_)[ctop];
       pending.ForEach([&](int c) {
         if ((*branch_rank_)[c] < best) {
           best = (*branch_rank_)[c];
@@ -641,7 +702,7 @@ class DimsatSearch {
   const HierarchySchema& schema_;
   const CategoryId root_;
   const DimsatOptions& options_;
-  const std::vector<DimensionConstraint>& relevant_;
+  std::span<const DimensionConstraint> relevant_;
   CheckOptions check_options_;
   BudgetChecker budget_checker_;
   /// Checkpoint sink (null = no capture); sequential runs only.
@@ -649,6 +710,7 @@ class DimsatSearch {
   /// Memory-budget accounting scoped to this search; every byte is
   /// returned when the search dies, on every exit path.
   MemoryReservation mem_;
+  bool working_set_reserved_ = false;
   uint64_t undo_charged_depth_ = 0;
   uint64_t subhierarchy_bytes_ = 0;
   uint64_t frame_bytes_ = 0;
@@ -670,41 +732,33 @@ class DimsatSearch {
   /// Category universe restriction (decomposed component searches).
   const DynamicBitset* universe_ = nullptr;
   /// Branching rank (options.branch_heuristic); null = id order.
-  const std::vector<int>* branch_rank_ = nullptr;
+  const std::vector<uint64_t>* branch_rank_ = nullptr;
   /// Component tag for captured checkpoint frames (-1 = monolithic).
   int component_ = -1;
 };
 
-/// Most-constrained-first branching rank: a static permutation of the
-/// categories ordered by (free successor choices ascending, forced
-/// into-target count descending, out-degree ascending, id ascending).
-/// Free choices = out-degree minus forced into-targets — the branching
-/// factor EXPAND actually faces at the category; expanding the
-/// tightest category first shrinks the subset loop fan-out near the
-/// top of the tree. A pure function of the schema, so checkpoint
-/// resumes and parallel workers recompute it identically.
-std::vector<int> ComputeBranchRank(const DimensionSchema& ds) {
+/// Most-constrained-first branching rank: a key per category ordering
+/// the categories by (free successor choices ascending, forced
+/// into-target count descending — so out-degree ascending among
+/// equals); EXPAND breaks ties towards the lower id. Free choices =
+/// out-degree minus forced into-targets — the branching factor EXPAND
+/// actually faces at the category; expanding the tightest category
+/// first shrinks the subset loop fan-out near the top of the tree. A
+/// pure function of the schema, so checkpoint resumes and parallel
+/// workers recompute it identically.
+std::vector<uint64_t> ComputeBranchRank(const DimensionSchema& ds) {
   const HierarchySchema& schema = ds.hierarchy();
   const int n = schema.num_categories();
-  std::vector<int> outdeg(n, 0), forced(n, 0);
+  const uint64_t base = static_cast<uint64_t>(n) + 1;
+  std::vector<uint64_t> rank(n);
   for (int c = 0; c < n; ++c) {
+    uint64_t outdeg = 0, forced = 0;
     for (CategoryId t : schema.graph().OutNeighbors(c)) {
-      ++outdeg[c];
-      if (ds.IntoTargets(c).test(t)) ++forced[c];
+      ++outdeg;
+      if (ds.IntoTargets(c).test(t)) ++forced;
     }
+    rank[c] = (outdeg - forced) * base + (base - 1 - forced);
   }
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int fa = outdeg[a] - forced[a];
-    const int fb = outdeg[b] - forced[b];
-    if (fa != fb) return fa < fb;
-    if (forced[a] != forced[b]) return forced[a] > forced[b];
-    if (outdeg[a] != outdeg[b]) return outdeg[a] < outdeg[b];
-    return a < b;
-  });
-  std::vector<int> rank(n);
-  for (int i = 0; i < n; ++i) rank[order[i]] = i;
   return rank;
 }
 
@@ -756,9 +810,70 @@ Status ComposeFrozen(const ComponentSplit& split,
   }
 }
 
-/// The sequential decomposed driver: one restricted-universe
-/// DimsatSearch per component, run in deterministic order, then the
-/// composition step. Handles both fresh runs and checkpoint resumes
+/// The prepared constraints regrouped component by component (in
+/// split.constraint_order; vacuous True constraints, which belong to
+/// no component, are dropped), so each component checks against a span
+/// of one vector instead of a copy of its share.
+class ComponentConstraints {
+ public:
+  /// `split` is borrowed and must outlive this object.
+  ComponentConstraints(std::vector<DimensionConstraint> relevant,
+                       const ComponentSplit& split)
+      : begin_(split.constraint_begin) {
+    grouped_.reserve(split.constraint_order.size());
+    for (size_t i : split.constraint_order) {
+      grouped_.push_back(std::move(relevant[i]));
+    }
+  }
+
+  std::span<const DimensionConstraint> of(int k) const {
+    return std::span<const DimensionConstraint>(grouped_).subspan(
+        begin_[k], begin_[k + 1] - begin_[k]);
+  }
+
+ private:
+  std::vector<DimensionConstraint> grouped_;
+  const std::vector<size_t>& begin_;
+};
+
+/// Which components a decomposed run searches, in deterministic order.
+/// Enumerate mode needs every component's full model set. Decision
+/// mode with must-be-present components searches exactly those (a
+/// witness merges one model from each; the optional components stay
+/// absent). Decision mode where every component may be absent
+/// (`*scan_mode`) scans components in order until one yields a witness.
+std::vector<int> ComponentsToSearch(const ComponentSplit& split,
+                                    bool enumerate_all, bool* scan_mode) {
+  const int w = static_cast<int>(split.num_components());
+  bool any_required = false;
+  for (int k = 0; k < w; ++k) {
+    if (!split.absent_valid[k]) any_required = true;
+  }
+  *scan_mode = !enumerate_all && !any_required;
+  std::vector<int> to_search;
+  for (int k = 0; k < w; ++k) {
+    if (enumerate_all || *scan_mode || !split.absent_valid[k]) {
+      to_search.push_back(k);
+    }
+  }
+  return to_search;
+}
+
+/// Decision-mode witness of a run whose searched components all
+/// yielded a model: the union of each one's first model.
+FrozenDimension MergeWitness(
+    const std::vector<int>& to_search,
+    std::vector<std::vector<FrozenDimension>>* models) {
+  FrozenDimension fd = std::move((*models)[to_search[0]][0]);
+  for (size_t j = 1; j < to_search.size(); ++j) {
+    MergeDisjointInto((*models)[to_search[j]][0], &fd);
+  }
+  return fd;
+}
+
+/// The sequential decomposed driver: the components are searched one
+/// after another on a single DimsatSearch, in deterministic order, then
+/// composed. Handles both fresh runs and checkpoint resumes
 /// (`resume_from`); on a budget stop it captures a v2 checkpoint —
 /// frames of the interrupted component, models collected so far, and
 /// seed frames for components not yet started — and reports *no*
@@ -766,37 +881,15 @@ Status ComposeFrozen(const ComponentSplit& split,
 /// resume emits the full composed set instead).
 DimsatResult RunDecomposedSequential(
     const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    const std::vector<DimensionConstraint>& relevant,
-    const ComponentSplit& split, const std::vector<int>* branch_rank,
-    DimsatCheckpoint* resume_from) {
+    std::vector<DimensionConstraint> relevant, const ComponentSplit& split,
+    const std::vector<uint64_t>* branch_rank, DimsatCheckpoint* resume_from) {
   const int n = ds.hierarchy().num_categories();
   const int w = static_cast<int>(split.num_components());
   DimsatResult result;
-
-  std::vector<std::vector<DimensionConstraint>> comp_relevant(w);
-  for (int k = 0; k < w; ++k) {
-    for (size_t i : split.constraint_indices[k]) {
-      comp_relevant[k].push_back(relevant[i]);
-    }
-  }
-
-  // Which components this run searches, in deterministic order.
-  // Enumerate mode needs every component's full model set. Decision
-  // mode with must-be-present components searches exactly those (a
-  // witness merges one model from each; the optional components stay
-  // absent). Decision mode where every component may be absent scans
-  // components in order until one yields a witness.
-  std::vector<int> to_search;
-  bool any_required = false;
-  for (int k = 0; k < w; ++k) {
-    if (!split.absent_valid[k]) any_required = true;
-  }
-  const bool scan_mode = !options.enumerate_all && !any_required;
-  for (int k = 0; k < w; ++k) {
-    if (options.enumerate_all || scan_mode || !split.absent_valid[k]) {
-      to_search.push_back(k);
-    }
-  }
+  const ComponentConstraints constraints(std::move(relevant), split);
+  bool scan_mode = false;
+  const std::vector<int> to_search =
+      ComponentsToSearch(split, options.enumerate_all, &scan_mode);
 
   // Resume bookkeeping: partition the interrupted run's checkpoint
   // into per-component frontiers and already-collected model sets.
@@ -819,46 +912,27 @@ DimsatResult RunDecomposedSequential(
     }
   }
 
-  uint64_t consumed = 0;
+  DimsatCheckpoint local_cp;
+  DimsatOptions search_options = options;
+  search_options.checkpoint =
+      options.checkpoint != nullptr ? &local_cp : nullptr;
+  DimsatSearch search(ds, root, search_options, {});
+  if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
+
   bool interrupted = false;
   int interrupted_comp = -1;
   size_t interrupted_idx = 0;
   bool unsat_proven = false;
   int witness_comp = -1;
-  DimsatCheckpoint local_cp;
-
   for (size_t idx = 0; idx < to_search.size(); ++idx) {
     const int k = to_search[idx];
     if (!done[k]) {
-      local_cp = DimsatCheckpoint{};
-      DimsatOptions comp_opts = options;
-      comp_opts.nogood_salt = split.salts[k];
-      comp_opts.checkpoint =
-          options.checkpoint != nullptr ? &local_cp : nullptr;
-      comp_opts.max_expand_calls =
-          options.max_expand_calls == UINT64_MAX
-              ? UINT64_MAX
-              : options.max_expand_calls - consumed;
-      DimsatSearch search(ds, root, comp_opts, comp_relevant[k]);
-      search.set_universe(&split.universes[k]);
-      if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
-      search.set_component(k);
-      DimsatResult r;
-      if (!frames[k].empty()) {
-        DimsatCheckpoint sub;
-        sub.root = root;
-        sub.num_categories = n;
-        sub.frames = std::move(frames[k]);
-        frames[k].clear();
-        r = search.RunResume(std::move(sub));
-      } else {
-        r = search.Run();
-      }
-      consumed += r.stats.expand_calls;
-      AccumulateStats(&result.stats, r.stats);
-      for (FrozenDimension& f : r.frozen) models[k].push_back(std::move(f));
-      if (!r.status.ok()) {
-        result.status = r.status;
+      std::vector<FrozenDimension> found =
+          search.SolveComponent(k, split.universes[k], constraints.of(k),
+                                split.salts[k], &frames[k]);
+      for (FrozenDimension& f : found) models[k].push_back(std::move(f));
+      if (!search.status().ok()) {
+        result.status = search.status();
         interrupted = true;
         interrupted_comp = k;
         interrupted_idx = idx;
@@ -878,6 +952,7 @@ DimsatResult RunDecomposedSequential(
       }
     }
   }
+  result.stats = search.stats();
 
   if (interrupted) {
     if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
@@ -885,6 +960,7 @@ DimsatResult RunDecomposedSequential(
       cp->root = root;
       cp->num_categories = n;
       cp->num_components = w;
+      cp->branch_heuristic = branch_rank != nullptr;
       cp->frames = std::move(local_cp.frames);
       if (!models[interrupted_comp].empty()) {
         cp->solved.push_back(DimsatSolvedComponent{
@@ -928,10 +1004,7 @@ DimsatResult RunDecomposedSequential(
           result.frozen.push_back(std::move(models[witness_comp][0]));
         }
       } else {
-        FrozenDimension fd{Subhierarchy(n, root),
-                           CAssignment(static_cast<size_t>(n), std::nullopt)};
-        for (int k : to_search) MergeDisjointInto(models[k][0], &fd);
-        result.frozen.push_back(std::move(fd));
+        result.frozen.push_back(MergeWitness(to_search, &models));
       }
     }
   } else {
@@ -946,6 +1019,7 @@ DimsatResult RunDecomposedSequential(
         cp->root = root;
         cp->num_categories = n;
         cp->num_components = w;
+        cp->branch_heuristic = branch_rank != nullptr;
         for (int k = 0; k < w; ++k) {
           cp->solved.push_back(
               DimsatSolvedComponent{k, std::move(models[k])});
@@ -1066,7 +1140,7 @@ struct ParallelShared {
   const uint64_t seed_bytes;
   /// Branching rank shared by every worker (options.branch_heuristic);
   /// null = declaration order. Outlives the task group.
-  const std::vector<int>* branch_rank = nullptr;
+  const std::vector<uint64_t>* branch_rank = nullptr;
   exec::TaskGroup group;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> tasks{0};
@@ -1153,29 +1227,13 @@ void RunSubtreeTask(ParallelShared* shared, Subhierarchy seed, int depth) {
 /// on the caller's thread after the group drains.
 DimsatResult RunDecomposedParallel(
     const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    const std::vector<DimensionConstraint>& relevant,
-    const ComponentSplit& split, const std::vector<int>* branch_rank,
-    exec::WorkStealingPool& pool) {
-  const int n = ds.hierarchy().num_categories();
+    std::vector<DimensionConstraint> relevant, const ComponentSplit& split,
+    const std::vector<uint64_t>* branch_rank, exec::WorkStealingPool& pool) {
   const int w = static_cast<int>(split.num_components());
-
-  std::vector<std::vector<DimensionConstraint>> comp_relevant(w);
-  for (int k = 0; k < w; ++k) {
-    for (size_t i : split.constraint_indices[k]) {
-      comp_relevant[k].push_back(relevant[i]);
-    }
-  }
-  std::vector<int> to_search;
-  bool any_required = false;
-  for (int k = 0; k < w; ++k) {
-    if (!split.absent_valid[k]) any_required = true;
-  }
-  const bool scan_mode = !options.enumerate_all && !any_required;
-  for (int k = 0; k < w; ++k) {
-    if (options.enumerate_all || scan_mode || !split.absent_valid[k]) {
-      to_search.push_back(k);
-    }
-  }
+  const ComponentConstraints constraints(std::move(relevant), split);
+  bool scan_mode = false;
+  const std::vector<int> to_search =
+      ComponentsToSearch(split, options.enumerate_all, &scan_mode);
 
   std::vector<DimsatResult> partials(w);
   std::atomic<bool> stop{false};
@@ -1195,7 +1253,7 @@ DimsatResult RunDecomposedParallel(
       DimsatOptions comp_opts = options;
       comp_opts.nogood_salt = split.salts[k];
       comp_opts.checkpoint = nullptr;
-      DimsatSearch search(ds, root, comp_opts, comp_relevant[k]);
+      DimsatSearch search(ds, root, comp_opts, constraints.of(k));
       search.set_universe(&split.universes[k]);
       if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
       search.set_external_stop(&stop);
@@ -1230,6 +1288,7 @@ DimsatResult RunDecomposedParallel(
 
   MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
                                                   : nullptr);
+  const int n = ds.hierarchy().num_categories();
   const uint64_t frozen_bytes =
       ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
   if (!options.enumerate_all) {
@@ -1250,10 +1309,9 @@ DimsatResult RunDecomposedParallel(
     } else if (!first_err.ok()) {
       result.status = first_err;
     } else {
-      FrozenDimension fd{Subhierarchy(n, root),
-                         CAssignment(static_cast<size_t>(n), std::nullopt)};
-      for (int k : to_search) MergeDisjointInto(partials[k].frozen[0], &fd);
-      result.frozen.push_back(std::move(fd));
+      std::vector<std::vector<FrozenDimension>> models(w);
+      for (int k : to_search) models[k] = std::move(partials[k].frozen);
+      result.frozen.push_back(MergeWitness(to_search, &models));
     }
   } else {
     if (!first_err.ok()) {
@@ -1288,11 +1346,10 @@ DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
     result.status = prepared.status();
     return result;
   }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
+  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
   if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
+  std::vector<uint64_t> rank;
+  const std::vector<uint64_t>* rank_ptr = nullptr;
   if (options.branch_heuristic) {
     rank = ComputeBranchRank(ds);
     rank_ptr = &rank;
@@ -1304,8 +1361,8 @@ DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
     const ComponentSplit split =
         ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
     if (split.eligible) {
-      result = RunDecomposedSequential(ds, root, options, relevant, split,
-                                       rank_ptr, nullptr);
+      result = RunDecomposedSequential(ds, root, options, std::move(relevant),
+                                       split, rank_ptr, nullptr);
       decomposed = true;
     }
   }
@@ -1354,12 +1411,14 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
     result.status = prepared.status();
     return result;
   }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
+  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
   if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
+  std::vector<uint64_t> rank;
+  const std::vector<uint64_t>* rank_ptr = nullptr;
+  // The frames' next_mask values index the successor subsets of the
+  // categories the interrupted run's order picked: replay under that
+  // order, whatever these options ask for.
+  if (checkpoint.branch_heuristic) {
     rank = ComputeBranchRank(ds);
     rank_ptr = &rank;
   }
@@ -1380,8 +1439,8 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
           "schema do not reproduce the interrupted run's component split");
       return result;
     }
-    result = RunDecomposedSequential(ds, root, options, relevant, split,
-                                     rank_ptr, &checkpoint);
+    result = RunDecomposedSequential(ds, root, options, std::move(relevant),
+                                     split, rank_ptr, &checkpoint);
   } else {
     DimsatSearch search(ds, root, options, relevant);
     if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
@@ -1427,8 +1486,7 @@ DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
     result.status = prepared.status();
     return result;
   }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
+  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
 
   // An explicit options.pool wins. Otherwise use the shared process
   // pool — unless it is smaller than the requested num_threads, in
@@ -1446,8 +1504,8 @@ DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
   }
   exec::WorkStealingPool& pool = *pool_ptr;
 
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
+  std::vector<uint64_t> rank;
+  const std::vector<uint64_t>* rank_ptr = nullptr;
   if (options.branch_heuristic) {
     rank = ComputeBranchRank(ds);
     rank_ptr = &rank;
@@ -1461,8 +1519,8 @@ DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
         ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
     if (split.eligible) {
       DimsatResult result =
-          RunDecomposedParallel(ds, root, options, relevant, split, rank_ptr,
-                                pool);
+          RunDecomposedParallel(ds, root, options, std::move(relevant), split,
+                                rank_ptr, pool);
       if (obs::MetricsEnabled()) {
         obs::Count("olapdc.dimsat.decomposed_runs");
       }
@@ -1530,8 +1588,8 @@ DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
   std::vector<Subhierarchy> seeds = FirstLevelSeeds(ds, root, options);
   if (seeds.empty()) return Dimsat(ds, root, options);
 
-  std::vector<int> rank;
-  const std::vector<int>* rank_ptr = nullptr;
+  std::vector<uint64_t> rank;
+  const std::vector<uint64_t>* rank_ptr = nullptr;
   if (options.branch_heuristic) {
     rank = ComputeBranchRank(ds);
     rank_ptr = &rank;

@@ -57,17 +57,20 @@ struct DimsatOptions {
   /// root->All edge, a cycle through the root, or a constraint whose
   /// atoms couple only root/All) and under collect_trace (the Figure 7
   /// harness pins the exact monolithic trace). The frozen-dimension
-  /// set is always equal to the monolithic search's.
-  bool decompose = false;
+  /// set is always equal to the monolithic search's. On by default
+  /// (the measured-best search); false gives the monolithic baseline
+  /// the ablation bench and the equivalence tests compare against.
+  bool decompose = true;
   /// Most-constrained-first branching: expand the pending category
   /// with the fewest free successor choices (out-degree minus forced
   /// into-targets, ties broken towards denser into coverage) instead
   /// of the lowest category id. The ordering is a pure function of
-  /// (schema, root, options), computed once per solve and recomputed
-  /// identically on checkpoint resume, so interrupted ≡ uninterrupted
-  /// still holds. Off by default: the ablation bench and the
-  /// per-technique floors own the evidence that it helps.
-  bool branch_heuristic = false;
+  /// the schema, computed once per solve. A checkpoint records the
+  /// order of the run that captured it and is always resumed under
+  /// that order, so interrupted ≡ uninterrupted holds whatever the
+  /// resumer's options say. On by default; false gives the paper's
+  /// id-order search (the Figure 7 trace and the ablation baseline).
+  bool branch_heuristic = true;
   /// Collect every frozen dimension instead of stopping at the first.
   bool enumerate_all = false;
   /// Cap on collected frozen dimensions (enumerate_all mode).
@@ -244,11 +247,13 @@ DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
                                   int num_threads);
 
 /// Continues an interrupted search from `checkpoint` (captured by a
-/// previous run through DimsatOptions::checkpoint). Runs sequentially.
-/// The result reports only the *fresh* work performed after the
-/// interruption — callers accumulate it onto the interrupted run's
-/// partial result (AccumulateStats + appending frozen), which then
-/// exactly equals an uninterrupted run when the options match. If the
+/// previous run through DimsatOptions::checkpoint). Runs sequentially,
+/// under the branching order the checkpoint records (not
+/// options.branch_heuristic). The result reports only the *fresh* work
+/// performed after the interruption — callers accumulate it onto the
+/// interrupted run's partial result (AccumulateStats + appending
+/// frozen), which then exactly equals an uninterrupted run when the
+/// other options match. If the
 /// resumed run is itself interrupted and options.checkpoint is set, a
 /// new checkpoint covering every still-unexplored frame is captured, so
 /// resume chains compose. An empty checkpoint returns immediately

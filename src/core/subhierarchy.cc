@@ -11,9 +11,8 @@ Subhierarchy::Subhierarchy(int num_categories, CategoryId root)
       root_(root),
       cats_(num_categories),
       top_(num_categories),
-      out_(num_categories, DynamicBitset(num_categories)),
-      in_(num_categories, DynamicBitset(num_categories)),
-      below_(num_categories, DynamicBitset(num_categories)) {
+      sets_(3 * static_cast<size_t>(num_categories),
+            DynamicBitset(num_categories)) {
   OLAPDC_CHECK(0 <= root && root < num_categories);
   cats_.set(root);
   top_.set(root);
@@ -21,7 +20,7 @@ Subhierarchy::Subhierarchy(int num_categories, CategoryId root)
 
 int Subhierarchy::num_edges() const {
   int count = 0;
-  cats_.ForEach([&](int u) { count += out_[u].count(); });
+  cats_.ForEach([&](int u) { count += out_of(u).count(); });
   return count;
 }
 
@@ -32,7 +31,7 @@ void Subhierarchy::Expand(CategoryId ctop, const DynamicBitset& r) {
 
   // Everything below ctop — plus ctop itself — now reaches every
   // category that r's members reach.
-  DynamicBitset delta = below_[ctop];
+  DynamicBitset delta = below_of(ctop);
   delta.set(ctop);
 
   std::vector<CategoryId> frontier;
@@ -41,8 +40,8 @@ void Subhierarchy::Expand(CategoryId ctop, const DynamicBitset& r) {
       cats_.set(c);
       top_.set(c);
     }
-    out_[ctop].set(c);
-    in_[c].set(ctop);
+    out_of(ctop).set(c);
+    in_of(c).set(ctop);
     frontier.push_back(c);
   });
 
@@ -55,8 +54,8 @@ void Subhierarchy::Expand(CategoryId ctop, const DynamicBitset& r) {
     frontier.pop_back();
     if (visited.test(x)) continue;
     visited.set(x);
-    below_[x] |= delta;
-    out_[x].ForEach([&](int y) {
+    below_of(x) |= delta;
+    out_of(x).ForEach([&](int y) {
       if (!visited.test(y)) frontier.push_back(y);
     });
   }
@@ -66,7 +65,7 @@ void Subhierarchy::ExpandLogged(CategoryId ctop, const DynamicBitset& r,
                                 SubhierarchyUndoLog* log) {
   OLAPDC_DCHECK(top_.test(ctop)) << "Expand target must be a top category";
   OLAPDC_DCHECK(r.any());
-  OLAPDC_DCHECK(out_[ctop].none()) << "top category cannot have edges yet";
+  OLAPDC_DCHECK(out_of(ctop).none()) << "top category cannot have edges yet";
   SubhierarchyUndoLog::Frame frame;
   frame.ctop = ctop;
   frame.cats_start = static_cast<uint32_t>(log->new_cats_.size());
@@ -79,7 +78,7 @@ void Subhierarchy::ExpandLogged(CategoryId ctop, const DynamicBitset& r,
     log->scratch_visited_ = DynamicBitset(n_);
   }
   DynamicBitset& delta = log->scratch_delta_;
-  delta = below_[ctop];
+  delta = below_of(ctop);
   delta.set(ctop);
 
   r.ForEach([&](int c) {
@@ -88,8 +87,8 @@ void Subhierarchy::ExpandLogged(CategoryId ctop, const DynamicBitset& r,
       top_.set(c);
       log->new_cats_.push_back(c);
     }
-    out_[ctop].set(c);
-    in_[c].set(ctop);
+    out_of(ctop).set(c);
+    in_of(c).set(ctop);
   });
 
   // Propagate delta to every category reachable from r (inclusive),
@@ -104,16 +103,16 @@ void Subhierarchy::ExpandLogged(CategoryId ctop, const DynamicBitset& r,
     to_visit.reset(x);
     visited.set(x);
     if (log->below_used_ == log->saved_below_.size()) {
-      log->saved_below_.push_back({x, below_[x]});
+      log->saved_below_.push_back({x, below_of(x)});
     } else {
       SubhierarchyUndoLog::SavedBelow& slot =
           log->saved_below_[log->below_used_];
       slot.cat = x;
-      slot.old_below = below_[x];
+      slot.old_below = below_of(x);
     }
     ++log->below_used_;
-    below_[x] |= delta;
-    to_visit |= out_[x];
+    below_of(x) |= delta;
+    to_visit |= out_of(x);
     to_visit -= visited;
   }
   log->frames_.push_back(frame);
@@ -128,14 +127,14 @@ void Subhierarchy::Rollback(SubhierarchyUndoLog* log) {
   // a frame, so order is irrelevant).
   for (size_t i = frame.below_start; i < log->below_used_; ++i) {
     SubhierarchyUndoLog::SavedBelow& saved = log->saved_below_[i];
-    below_[saved.cat] = saved.old_below;
+    below_of(saved.cat) = saved.old_below;
   }
   log->below_used_ = frame.below_start;
 
-  // Deeper frames have already been rolled back, so out_[ctop] is again
+  // Deeper frames have already been rolled back, so out_of(ctop) is again
   // exactly the R of this frame's expansion.
-  out_[frame.ctop].ForEach([&](int c) { in_[c].reset(frame.ctop); });
-  out_[frame.ctop].clear();
+  out_of(frame.ctop).ForEach([&](int c) { in_of(c).reset(frame.ctop); });
+  out_of(frame.ctop).clear();
 
   // Drop the categories this frame introduced.
   for (size_t i = frame.cats_start; i < log->new_cats_.size(); ++i) {
@@ -157,27 +156,21 @@ bool Subhierarchy::IsPath(const std::vector<CategoryId>& path) const {
 }
 
 std::vector<DynamicBitset> Subhierarchy::ComputeReach() const {
+  // Reach is the transpose of Below, which every construction path and
+  // every EXPAND step keeps exact (cycles included), plus the category
+  // itself — one pass, no relaxation to a fixpoint.
   std::vector<DynamicBitset> reach(n_, DynamicBitset(n_));
-  // Process categories; repeated relaxation handles arbitrary insertion
-  // orders (g may be cyclic when pruning is disabled, so a plain
-  // reverse-topological pass is not guaranteed to exist).
-  bool changed = true;
-  cats_.ForEach([&](int u) { reach[u].set(u); });
-  while (changed) {
-    changed = false;
-    cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
-    });
-  }
+  cats_.ForEach([&](int v) {
+    reach[v].set(v);
+    below_of(v).ForEach([&](int u) { reach[u].set(v); });
+  });
   return reach;
 }
 
 std::vector<std::pair<CategoryId, CategoryId>> Subhierarchy::Edges() const {
   std::vector<std::pair<CategoryId, CategoryId>> edges;
   cats_.ForEach([&](int u) {
-    out_[u].ForEach([&](int v) { edges.emplace_back(u, v); });
+    out_of(u).ForEach([&](int v) { edges.emplace_back(u, v); });
   });
   return edges;
 }
@@ -195,7 +188,7 @@ bool Subhierarchy::HasCycleIn(
   bool found = false;
   cats_.ForEach([&](int u) {
     if (found) return;
-    out_[u].ForEach([&](int v) {
+    out_of(u).ForEach([&](int v) {
       if (!found && reach[v].test(u)) found = true;
     });
   });
@@ -211,11 +204,11 @@ bool Subhierarchy::HasShortcut(
   bool found = false;
   cats_.ForEach([&](int u) {
     if (found) return;
-    out_[u].ForEach([&](int v) {
+    out_of(u).ForEach([&](int v) {
       if (found) return;
       // Edge (u, v) plus a path u -> w -> ... -> v for some other
       // successor w of u.
-      out_[u].ForEach([&](int w) {
+      out_of(u).ForEach([&](int w) {
         if (w != v && reach[w].test(v)) found = true;
       });
     });
@@ -227,14 +220,10 @@ void Subhierarchy::UnionWith(const Subhierarchy& other) {
   OLAPDC_DCHECK(n_ == other.n_);
   OLAPDC_DCHECK(root_ == other.root_);
   cats_ |= other.cats_;
-  for (int c = 0; c < n_; ++c) {
-    out_[c] |= other.out_[c];
-    in_[c] |= other.in_[c];
-    below_[c] |= other.below_[c];
-  }
+  for (size_t i = 0; i < sets_.size(); ++i) sets_[i] |= other.sets_[i];
   top_.clear();
   cats_.ForEach([&](int c) {
-    if (!out_[c].any()) top_.set(c);
+    if (!out_of(c).any()) top_.set(c);
   });
 }
 
@@ -251,8 +240,8 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
     }
     g.cats_.set(u);
     g.cats_.set(v);
-    g.out_[u].set(v);
-    g.in_[v].set(u);
+    g.out_of(u).set(v);
+    g.in_of(v).set(u);
   }
 
   // Every category of g must be reachable from root (invariant of each
@@ -264,7 +253,7 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
     while (!frontier.empty()) {
       CategoryId u = frontier.back();
       frontier.pop_back();
-      g.out_[u].ForEach([&](int v) {
+      g.out_of(u).ForEach([&](int v) {
         if (!seen.test(v)) {
           seen.set(v);
           frontier.push_back(v);
@@ -278,7 +267,7 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
   // — the ones with no outgoing edge (the search removes a category
   // from top() precisely when it gains its edges).
   g.cats_.ForEach([&](int u) {
-    if (g.out_[u].none()) g.top_.set(u);
+    if (g.out_of(u).none()) g.top_.set(u);
   });
 
   // Rebuild Below by relaxation to a fixpoint (partial graphs may be
@@ -291,13 +280,13 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
     changed = false;
     g.cats_.ForEach([&](int u) {
       DynamicBitset before = reach[u];
-      g.out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
+      g.out_of(u).ForEach([&](int v) { reach[u] |= reach[v]; });
       if (reach[u] != before) changed = true;
     });
   }
   g.cats_.ForEach([&](int v) {
     g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_[v].set(u);
+      if (u != v && reach[u].test(v)) g.below_of(v).set(u);
     });
   });
   return g;
@@ -315,8 +304,8 @@ std::optional<Subhierarchy> Subhierarchy::FromEdges(
     }
     g.cats_.set(u);
     g.cats_.set(v);
-    g.out_[u].set(v);
-    g.in_[v].set(u);
+    g.out_of(u).set(v);
+    g.in_of(v).set(u);
   }
 
   // Reachability from root must cover every category of g.
@@ -327,7 +316,7 @@ std::optional<Subhierarchy> Subhierarchy::FromEdges(
     while (!frontier.empty()) {
       CategoryId u = frontier.back();
       frontier.pop_back();
-      g.out_[u].ForEach([&](int v) {
+      g.out_of(u).ForEach([&](int v) {
         if (!seen.test(v)) {
           seen.set(v);
           frontier.push_back(v);
@@ -343,7 +332,7 @@ std::optional<Subhierarchy> Subhierarchy::FromEdges(
   // the structural CHECK rejects them later.)
   bool ok = true;
   g.cats_.ForEach([&](int u) {
-    bool has_out = g.out_[u].any();
+    bool has_out = g.out_of(u).any();
     if (u == all && has_out) ok = false;
     if (u != all && !has_out) ok = false;
     if (!has_out) g.top_.set(u);
@@ -363,13 +352,13 @@ std::optional<Subhierarchy> Subhierarchy::FromEdges(
     changed = false;
     g.cats_.ForEach([&](int u) {
       DynamicBitset before = reach[u];
-      g.out_[u].ForEach([&](int v) { reach[u] |= reach[v]; });
+      g.out_of(u).ForEach([&](int v) { reach[u] |= reach[v]; });
       if (reach[u] != before) changed = true;
     });
   }
   g.cats_.ForEach([&](int v) {
     g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_[v].set(u);
+      if (u != v && reach[u].test(v)) g.below_of(v).set(u);
     });
   });
   return g;

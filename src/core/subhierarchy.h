@@ -108,13 +108,15 @@ class Subhierarchy {
   const DynamicBitset& top() const { return top_; }
 
   /// Direct successors of c in g.
-  const DynamicBitset& Out(CategoryId c) const { return out_[c]; }
+  const DynamicBitset& Out(CategoryId c) const { return sets_[c]; }
   /// Direct predecessors of c in g.
-  const DynamicBitset& In(CategoryId c) const { return in_[c]; }
+  const DynamicBitset& In(CategoryId c) const { return sets_[n_ + c]; }
   /// The paper's In*(c): every category with a nonempty path to c in g.
-  const DynamicBitset& Below(CategoryId c) const { return below_[c]; }
+  const DynamicBitset& Below(CategoryId c) const {
+    return sets_[2 * n_ + c];
+  }
 
-  bool HasEdge(CategoryId u, CategoryId v) const { return out_[u].test(v); }
+  bool HasEdge(CategoryId u, CategoryId v) const { return Out(u).test(v); }
 
   int num_edges() const;
 
@@ -140,7 +142,8 @@ class Subhierarchy {
 
   /// For every category in g, the set of categories reachable from it
   /// within g, *including itself*; empty sets for absent categories.
-  /// O(N * E) — computed once per CHECK.
+  /// The transpose of Below, O(N + sum of |Below|) — computed once per
+  /// CHECK.
   std::vector<DynamicBitset> ComputeReach() const;
 
   /// The edge list, grouped by source in ascending order.
@@ -179,11 +182,21 @@ class Subhierarchy {
  private:
   int n_;
   CategoryId root_;
+  DynamicBitset& out_of(CategoryId c) { return sets_[c]; }
+  DynamicBitset& in_of(CategoryId c) { return sets_[n_ + c]; }
+  DynamicBitset& below_of(CategoryId c) { return sets_[2 * n_ + c]; }
+  const DynamicBitset& out_of(CategoryId c) const { return Out(c); }
+  const DynamicBitset& in_of(CategoryId c) const { return In(c); }
+  const DynamicBitset& below_of(CategoryId c) const { return Below(c); }
+
   DynamicBitset cats_;
   DynamicBitset top_;
-  std::vector<DynamicBitset> out_;
-  std::vector<DynamicBitset> in_;
-  std::vector<DynamicBitset> below_;
+  /// The Out, In and Below sets of every category, in one allocation
+  /// (out at [0, n), in at [n, 2n), below at [2n, 3n)): a subhierarchy
+  /// is built, copied and freed once per search and per collected
+  /// frozen dimension, and each allocation of 32-byte-aligned sets is
+  /// costly next to the search itself.
+  std::vector<DynamicBitset> sets_;
 };
 
 }  // namespace olapdc

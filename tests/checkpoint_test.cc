@@ -188,6 +188,62 @@ TEST_P(ResumeEquivalenceTest, SerializedFrontierResumesIdentically) {
   ExpectStatsEqual(first.stats, uninterrupted.stats);
 }
 
+// A frame's next_mask indexes the successor subsets of the category its
+// run's branching order picked, so a checkpoint carries that order and
+// is resumed under it: interrupting under one order and resuming under
+// the other (through the text format) must equal an uninterrupted run
+// of the interrupting order — model set and statistics in enumerate
+// mode, verdict in decision mode.
+TEST_P(ResumeEquivalenceTest, ResumeFollowsTheRecordedBranchingOrder) {
+  const int seed = GetParam();
+  DimensionSchema ds = RandomSchema(seed);
+  CategoryId base = ds.hierarchy().FindCategory("Base");
+
+  for (bool interrupt_order : {false, true}) {
+    for (bool enumerate : {false, true}) {
+      DimsatOptions options;
+      options.enumerate_all = enumerate;
+      options.branch_heuristic = interrupt_order;
+      DimsatResult uninterrupted = Dimsat(ds, base, options);
+      ASSERT_OK(uninterrupted.status);
+
+      DimsatCheckpoint cp;
+      options.checkpoint = &cp;
+      options.max_expand_calls = 7;
+      DimsatResult combined = Dimsat(ds, base, options);
+      if (cp.empty()) continue;  // finished under the cap
+      EXPECT_EQ(cp.branch_heuristic, interrupt_order);
+
+      DimsatOptions resume_options;
+      resume_options.enumerate_all = enumerate;
+      resume_options.branch_heuristic = !interrupt_order;
+      ASSERT_OK_AND_ASSIGN(DimsatCheckpoint restored,
+                           DimsatCheckpoint::Deserialize(cp.Serialize()));
+      EXPECT_EQ(restored.branch_heuristic, interrupt_order);
+      DimsatResult rest =
+          ResumeDimsat(ds, base, resume_options, std::move(restored));
+      ASSERT_OK(rest.status);
+      AccumulateStats(&combined.stats, rest.stats);
+      for (FrozenDimension& f : rest.frozen) {
+        combined.frozen.push_back(std::move(f));
+      }
+      const std::string where = "seed " + std::to_string(seed) +
+                                " interrupt_order " +
+                                std::to_string(interrupt_order) +
+                                " enumerate " + std::to_string(enumerate);
+      EXPECT_EQ(combined.satisfiable || rest.satisfiable,
+                uninterrupted.satisfiable)
+          << where;
+      if (enumerate) {
+        EXPECT_EQ(Canonical(combined.frozen, ds.hierarchy()),
+                  Canonical(uninterrupted.frozen, ds.hierarchy()))
+            << where;
+        ExpectStatsEqual(combined.stats, uninterrupted.stats);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ResumeEquivalenceTest,
                          ::testing::Range(0, 24));
 
@@ -293,6 +349,29 @@ TEST(CheckpointTest, DeserializeRejectsGarbage) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+  // An unknown branching order.
+  EXPECT_EQ(DimsatCheckpoint::Deserialize(
+                "dimsat-checkpoint v1\n"
+                "root 0 categories 3 frames 0 order sideways\n")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
+// Checkpoint text without an order suffix — everything written before
+// the suffix existed — was captured in id order and resumes that way.
+TEST(CheckpointTest, MissingOrderSuffixMeansIdOrder) {
+  ASSERT_OK_AND_ASSIGN(DimsatCheckpoint plain,
+                       DimsatCheckpoint::Deserialize(
+                           "dimsat-checkpoint v1\n"
+                           "root 0 categories 3 frames 0\n"));
+  EXPECT_FALSE(plain.branch_heuristic);
+  ASSERT_OK_AND_ASSIGN(DimsatCheckpoint ranked,
+                       DimsatCheckpoint::Deserialize(
+                           "dimsat-checkpoint v1\n"
+                           "root 0 categories 3 frames 0 order "
+                           "most-constrained\n"));
+  EXPECT_TRUE(ranked.branch_heuristic);
 }
 
 // The Reasoner's iterative-deepening ladder carries the frontier across

@@ -96,6 +96,8 @@ TEST_P(AblationCorpusTest, EveryTechniquePreservesTheModelSet) {
   for (bool enumerate : {false, true}) {
     DimsatOptions baseline_options;
     baseline_options.enumerate_all = enumerate;
+    baseline_options.decompose = false;
+    baseline_options.branch_heuristic = false;
     const DimsatResult baseline = Dimsat(ds, base, baseline_options);
     ASSERT_OK(baseline.status);
     const std::vector<std::string> want =
@@ -133,6 +135,8 @@ TEST_P(AblationCorpusTest, TechniquesComposeWithNoGoodStores) {
 
   DimsatOptions baseline_options;
   baseline_options.enumerate_all = true;
+  baseline_options.decompose = false;
+  baseline_options.branch_heuristic = false;
   const DimsatResult baseline = Dimsat(ds, base, baseline_options);
   ASSERT_OK(baseline.status);
   const std::vector<std::string> want =
@@ -186,6 +190,8 @@ TEST(DecomposeSplitTest, LocationSchemaFallsBackToMonolithic) {
   const CategoryId store = ds.hierarchy().FindCategory("Store");
   DimsatOptions options;
   options.enumerate_all = true;
+  options.decompose = false;
+  options.branch_heuristic = false;
   const DimsatResult baseline = Dimsat(ds, store, options);
   options.decompose = true;
   const DimsatResult decomposed = Dimsat(ds, store, options);
@@ -199,6 +205,8 @@ TEST(DecomposeSpeedTest, DecompositionReducesExpandCalls) {
   const CategoryId base = ds.hierarchy().FindCategory("Base");
   DimsatOptions options;
   options.enumerate_all = true;
+  options.decompose = false;
+  options.branch_heuristic = false;
   const DimsatResult baseline = Dimsat(ds, base, options);
   ASSERT_OK(baseline.status);
   options.decompose = true;
@@ -301,6 +309,7 @@ TEST(DecomposeCheckpointTest, DecomposedCheckpointNeedsMatchingOptions) {
   // component split and must be rejected, not silently misresumed.
   DimsatOptions plain;
   plain.enumerate_all = true;
+  plain.decompose = false;
   const DimsatResult rejected = ResumeDimsat(ds, base, plain, checkpoint);
   EXPECT_FALSE(rejected.status.ok());
 }

@@ -13,10 +13,14 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/fault_injector.h"
 #include "constraint/parser.h"
+#include "core/dimsat.h"
+#include "core/implication.h"
 #include "core/location_example.h"
+#include "core/summarizability.h"
 #include "exec/admission.h"
 #include "gtest/gtest.h"
 #include "io/schema_io.h"
@@ -482,6 +486,138 @@ TEST_F(ServiceTest, TinyCacheBudgetEvictsButNeverChangesAnswers) {
           << "category " << hierarchy.CategoryName(c) << " pass " << pass;
     }
   }
+}
+
+/// The seeded corpus of the DIMSAT equivalence tests: layered schemas
+/// (one connected search) and, every third seed, multi-component ones
+/// (the shape decomposition splits).
+DimensionSchema EquivalenceCorpusSchema(int seed) {
+  if (seed % 3 == 0) {
+    MultiComponentGenOptions options;
+    options.num_components = 3;
+    options.levels_per_component = 2;
+    options.categories_per_level = 3;
+    options.seed = static_cast<uint64_t>(seed) * 613 + 7;
+    Result<DimensionSchema> ds = GenerateMultiComponentSchema(options);
+    OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+    return *std::move(ds);
+  }
+  SchemaGenOptions schema_options;
+  schema_options.num_levels = 3;
+  schema_options.categories_per_level = 2;
+  schema_options.extra_edge_prob = 0.3;
+  schema_options.seed = static_cast<uint64_t>(seed) * 911 + 3;
+  auto hierarchy = GenerateLayeredHierarchy(schema_options);
+  OLAPDC_CHECK(hierarchy.ok()) << hierarchy.status().ToString();
+  ConstraintGenOptions constraint_options;
+  constraint_options.into_fraction = 0.4;
+  constraint_options.num_choice_constraints = 1;
+  constraint_options.num_equality_constraints = 1;
+  constraint_options.seed = seed;
+  Result<DimensionSchema> ds =
+      GenerateConstrainedSchema(*hierarchy, constraint_options);
+  OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+  return *std::move(ds);
+}
+
+/// The verdict a definitive 200 response carries in `field`; nullopt
+/// for anything else.
+std::optional<bool> Verdict(const HttpResponse& response,
+                            const std::string& field) {
+  if (response.status != 200 ||
+      response.body.find("\"definitive\": true") == std::string::npos) {
+    return std::nullopt;
+  }
+  if (response.body.find("\"" + field + "\": true") != std::string::npos) {
+    return true;
+  }
+  if (response.body.find("\"" + field + "\": false") != std::string::npos) {
+    return false;
+  }
+  return std::nullopt;
+}
+
+// The service runs the default search (component decomposition and
+// most-constrained-first branching). Over the seeded corpus its check,
+// implies and summarizable verdicts must equal the monolithic id-order
+// search's, run in-process — cold (no caches), and through the cache
+// plane both on the first ask and on the cache-served repeat.
+TEST_F(ServiceTest, DefaultEngineAgreesWithMonolithicIdOrderSearch) {
+  DimService cold(options_);
+  ServiceCaches caches(ServiceCaches::Options{});
+  DimService::Options cached_options = options_;
+  cached_options.caches = &caches;
+  DimService cached(cached_options);
+  DimsatOptions baseline;
+  baseline.decompose = false;
+  baseline.branch_heuristic = false;
+
+  const uint64_t decomposed_before = Counter("olapdc.dimsat.decomposed_runs");
+  int questions = 0;
+  auto expect_agree = [&](const std::string& path, const std::string& body,
+                          const std::string& field, bool truth) {
+    ++questions;
+    EXPECT_EQ(Verdict(cold.HandleRequest(Post(path, body)), field), truth)
+        << "cold " << path << " " << body;
+    for (const char* ask : {"first", "repeat"}) {
+      EXPECT_EQ(Verdict(cached.HandleRequest(Post(path, body)), field), truth)
+          << "cached (" << ask << ") " << path << " " << body;
+    }
+  };
+
+  for (int seed = 0; seed < 24; ++seed) {
+    const DimensionSchema ds = EquivalenceCorpusSchema(seed);
+    const HierarchySchema& h = ds.hierarchy();
+    const std::string name = "corpus" + std::to_string(seed);
+    registry_.RegisterParsed(name, ds);
+    const std::string schema_field =
+        "{\"schema\": " + obs::JsonString(name) + ", ";
+    for (CategoryId c = 0; c < h.num_categories(); ++c) {
+      if (c == h.all()) continue;
+      const std::string category = obs::JsonString(h.CategoryName(c));
+
+      expect_agree("/v1/check",
+                   schema_field + "\"category\": " + category + "}",
+                   "satisfiable", Dimsat(ds, c, baseline).satisfiable);
+
+      // Implies: every edge as a path atom, every non-adjacent ancestor
+      // as a composed atom.
+      for (CategoryId a = 0; a < h.num_categories(); ++a) {
+        if (a == c || a == h.all() || !h.Reaches(c, a)) continue;
+        const std::string text = h.CategoryName(c) +
+                                 (h.HasEdge(c, a) ? "/" : ".") +
+                                 h.CategoryName(a);
+        Result<DimensionConstraint> alpha = ParseConstraint(h, text);
+        ASSERT_TRUE(alpha.ok()) << text;
+        Result<ImplicationResult> truth = Implies(ds, *alpha, baseline);
+        ASSERT_TRUE(truth.ok()) << text;
+        expect_agree("/v1/implies",
+                     schema_field + "\"constraint\": " +
+                         obs::JsonString(text) + "}",
+                     "implied", truth->implied);
+      }
+
+      // Summarizable from all direct children.
+      const std::vector<int>& children = h.graph().InNeighbors(c);
+      if (children.empty()) continue;
+      std::string sources;
+      for (int child : children) {
+        sources += (sources.empty() ? "" : ", ") +
+                   obs::JsonString(h.CategoryName(child));
+      }
+      Result<SummarizabilityResult> truth = IsSummarizable(
+          ds, c, std::vector<CategoryId>(children.begin(), children.end()),
+          baseline);
+      ASSERT_TRUE(truth.ok());
+      expect_agree("/v1/summarizable",
+                   schema_field + "\"category\": " + category +
+                       ", \"sources\": [" + sources + "]}",
+                   "summarizable", truth->summarizable);
+    }
+  }
+  EXPECT_GT(questions, 500);
+  // The corpus actually drives the decomposed search through the service.
+  EXPECT_GT(Counter("olapdc.dimsat.decomposed_runs"), decomposed_before);
 }
 
 TEST_F(ServiceTest, ResumeRequestsBypassTheCacheReadPath) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/location_example.h"
 #include "core/subhierarchy.h"
 #include "tests/test_util.h"
@@ -88,6 +91,55 @@ TEST(SubhierarchyTest, PathAndReach) {
   EXPECT_TRUE(reach[0].test(3));
   EXPECT_TRUE(reach[2].test(2));  // reflexive
   EXPECT_FALSE(reach[3].test(0));
+}
+
+// ComputeReach() transposes the incrementally maintained Below sets;
+// it must equal plain graph reachability over Edges() on every state a
+// logged search can reach — cycles (pruning off) and rollbacks included.
+TEST(SubhierarchyTest, ReachEqualsGraphReachabilityAcrossExpandAndRollback) {
+  constexpr int kN = 7;
+  std::mt19937 rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    Subhierarchy g(kN, 0);
+    SubhierarchyUndoLog log;
+    for (int step = 0; step < 12; ++step) {
+      if (!log.empty() && rng() % 4 == 0) {
+        g.Rollback(&log);
+      } else {
+        std::vector<int> tops;
+        g.top().ForEach([&](int c) { tops.push_back(c); });
+        if (tops.empty()) break;
+        const int ctop = tops[rng() % tops.size()];
+        DynamicBitset r(kN);
+        for (int c = 0; c < kN; ++c) {
+          if (c != ctop && rng() % 3 == 0) r.set(c);
+        }
+        if (r.none()) r.set((ctop + 1) % kN);
+        g.ExpandLogged(ctop, r, &log);
+      }
+      const std::vector<DynamicBitset> reach = g.ComputeReach();
+      for (int u = 0; u < kN; ++u) {
+        DynamicBitset want(kN);
+        if (g.Contains(u)) {
+          std::vector<int> frontier{u};
+          want.set(u);
+          while (!frontier.empty()) {
+            const int x = frontier.back();
+            frontier.pop_back();
+            g.Out(x).ForEach([&](int y) {
+              if (!want.test(y)) {
+                want.set(y);
+                frontier.push_back(y);
+              }
+            });
+          }
+        }
+        EXPECT_TRUE(reach[u] == want)
+            << "trial " << trial << " step " << step << " category " << u;
+      }
+      EXPECT_EQ(g.HasCycleIn(reach), g.HasCycleIn());
+    }
+  }
 }
 
 TEST(SubhierarchyTest, CycleDetection) {

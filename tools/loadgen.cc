@@ -21,7 +21,11 @@
 // Client-side conservation is checked on exit: every request sent is
 // accounted as exactly one of {2xx, shed 503, other 4xx/5xx,
 // transport error}; a daemon that drops a request on the floor fails
-// the run.
+// the run. In --spawn mode a 5xx other than a shed 503 also fails the
+// run unless --fault-site was among the daemon flags: well-formed load
+// against a daemon with no faults armed never earns a 5xx. (Against a
+// --port daemon the client cannot know what is armed, so that gate is
+// off.)
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -502,6 +506,15 @@ int Run(int argc, char** argv) {
   }
   if (daemon.pid > 0 && daemon_exit != 0) {
     std::fprintf(stderr, "loadgen: daemon exit %d (want 0)\n", daemon_exit);
+    return 1;
+  }
+  const bool faults_armed =
+      std::find(daemon_args.begin(), daemon_args.end(), "--fault-site") !=
+      daemon_args.end();
+  if (daemon.pid > 0 && !faults_armed && all_5xx > 0) {
+    std::fprintf(stderr,
+                 "loadgen: %llu HTTP 5xx with no fault site armed (want 0)\n",
+                 static_cast<unsigned long long>(all_5xx));
     return 1;
   }
   return 0;
