@@ -257,13 +257,13 @@ int Run() {
       DimsatOptions plain;
       plain.enumerate_all = true;
       bench::WallTimer cold_timer;
-      expand_cold += RunDimsat(schema, c, plain).stats.expand_calls;
+      expand_cold += Dimsat(schema, c, plain).stats.expand_calls;
       cold_us += cold_timer.ElapsedUs();
       DimsatOptions learned = plain;
       learned.nogoods = &store;
-      RunDimsat(schema, c, learned);  // fill
+      Dimsat(schema, c, learned);  // fill
       bench::WallTimer warm_timer;
-      const DimsatResult warm_result = RunDimsat(schema, c, learned);
+      const DimsatResult warm_result = Dimsat(schema, c, learned);
       expand_warm += warm_result.stats.expand_calls;
       nogood_prunes += warm_result.stats.nogood_prunes;
       warm_us += warm_timer.ElapsedUs();

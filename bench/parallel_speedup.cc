@@ -1,18 +1,17 @@
-// E16 (supplementary): parallel DIMSAT. Compares three drivers on two
-// workloads:
-//   sequential — the single-threaded reference search;
-//   static     — one thread per first-level seed subtree, no rebalance;
-//   worksteal  — the src/exec pool, EXPAND nodes below the split depth
-//                become stealable tasks.
-// The uniform workload has evenly sized seed subtrees, so both
-// parallel drivers should track each other. The skewed workload puts
-// nearly all the search under one seed: the static partition degrades
-// towards sequential while work stealing keeps every worker busy.
+// E16 (supplementary): parallel DIMSAT. Compares the sequential
+// reference search with the work-stealing driver (Dimsat() with
+// num_threads > 1: EXPAND nodes below the split depth become stealable
+// tasks on the src/exec pool) at 2, 4 and 8 threads, on two workloads.
+// The uniform workload has evenly sized first-level subtrees. The
+// skewed workload puts nearly all the search under one first-level
+// choice, so only dynamic rebalancing keeps every worker busy; its
+// 4-thread row carries worksteal_speedup_4t, the figure CI floors.
 // Every run's frozen-dimension set is checked equal (as a canonical
 // sorted serialization) to the sequential baseline.
 
 #include <cstdio>
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,9 +60,9 @@ DimensionSchema UniformWorkload() {
 
 // Adversarial for a static partition: Base has two parents, a light
 // one going straight to All and a heavy one opening into a dense
-// layered subgraph. The three first-level seeds ({L}, {H}, {L,H}) are
-// wildly uneven — almost all EXPAND work sits under the seeds that
-// include H — so a seed-per-thread split leaves most threads idle.
+// layered subgraph. The three first-level subtrees ({L}, {H}, {L,H})
+// are wildly uneven — almost all EXPAND work sits under the ones that
+// include H — so a subtree-per-thread split leaves most threads idle.
 DimensionSchema SkewedWorkload() {
   HierarchySchemaBuilder builder;
   builder.AddEdge("Base", "Light");
@@ -104,84 +103,66 @@ void RunWorkload(BenchReporter& reporter, const WorkloadCase& workload,
                  const DimsatOptions& base_options) {
   PrintHeader(std::string("E16: parallel DIMSAT — ") + workload.name +
               " workload");
-
-  WallTimer seq_timer;
-  DimsatResult sequential =
-      Dimsat(workload.ds, workload.base, base_options);
-  const double seq_ms = seq_timer.ElapsedMs();
-  OLAPDC_CHECK(sequential.status.ok()) << sequential.status.ToString();
-  const std::vector<std::string> golden =
-      Canonical(sequential.frozen, workload.ds.hierarchy());
-
   std::printf("%10s %8s %12s %10s %10s %8s %8s\n", "mode", "threads", "ms",
               "frozen", "expands", "steals", "speedup");
   bench::PrintRule();
-  std::printf("%10s %8d %12.2f %10zu %10llu %8s %8s\n", "sequential", 1,
-              seq_ms, sequential.frozen.size(),
-              static_cast<unsigned long long>(sequential.stats.expand_calls),
-              "-", "1.0x");
-  reporter.AddRow()
-      .Set("workload", workload.name)
-      .Set("mode", "sequential")
-      .Set("threads", 1)
-      .Set("ms", seq_ms)
-      .Set("frozen", static_cast<uint64_t>(sequential.frozen.size()))
-      .Set("expand_calls", sequential.stats.expand_calls)
-      .Set("tasks", uint64_t{0})
-      .Set("steals", uint64_t{0})
-      .Set("speedup", 1.0);
-
-  for (const char* mode : {"static", "worksteal"}) {
-    for (int threads : {2, 4, 8}) {
-      WallTimer timer;
-      DimsatResult parallel;
-      if (std::string(mode) == "static") {
-        parallel = DimsatParallelStatic(workload.ds, workload.base,
-                                        base_options, threads);
-      } else {
-        exec::WorkStealingPool pool(threads);
-        DimsatOptions options = base_options;
-        options.pool = &pool;
-        parallel =
-            DimsatParallel(workload.ds, workload.base, options, threads);
-      }
-      const double ms = timer.ElapsedMs();
-      OLAPDC_CHECK(parallel.status.ok()) << parallel.status.ToString();
-      OLAPDC_CHECK(Canonical(parallel.frozen, workload.ds.hierarchy()) ==
-                   golden)
-          << mode << "@" << threads
+  // threads == 1 is the sequential search; its set is the golden one.
+  // Each run's result is dropped once checked, so at most one
+  // enumeration is held beside the golden strings.
+  std::vector<std::string> golden;
+  double seq_ms = 0;
+  for (int threads : {1, 2, 4, 8}) {
+    std::unique_ptr<exec::WorkStealingPool> pool;
+    if (threads > 1) pool = std::make_unique<exec::WorkStealingPool>(threads);
+    DimsatOptions options = base_options;
+    options.pool = pool.get();
+    options.num_threads = threads;
+    WallTimer timer;
+    const DimsatResult result = Dimsat(workload.ds, workload.base, options);
+    const double ms = timer.ElapsedMs();
+    OLAPDC_CHECK(result.status.ok()) << result.status.ToString();
+    std::vector<std::string> canonical =
+        Canonical(result.frozen, workload.ds.hierarchy());
+    if (threads == 1) {
+      golden = std::move(canonical);
+      seq_ms = ms;
+    } else {
+      OLAPDC_CHECK(canonical == golden)
+          << "worksteal@" << threads
           << ": parallel enumeration must match the sequential set";
-      const double speedup = seq_ms / (ms > 0 ? ms : 1e-3);
-      std::printf("%10s %8d %12.2f %10zu %10llu %8llu %7.2fx\n", mode,
-                  threads, ms, parallel.frozen.size(),
-                  static_cast<unsigned long long>(
-                      parallel.stats.expand_calls),
-                  static_cast<unsigned long long>(
-                      parallel.stats.parallel_steals),
-                  speedup);
-      BenchReporter::Row& row =
-          reporter.AddRow()
-              .Set("workload", workload.name)
-              .Set("mode", mode)
-              .Set("threads", threads)
-              .Set("ms", ms)
-              .Set("frozen", static_cast<uint64_t>(parallel.frozen.size()))
-              .Set("expand_calls", parallel.stats.expand_calls)
-              .Set("tasks", parallel.stats.parallel_tasks)
-              .Set("steals", parallel.stats.parallel_steals)
-              .Set("speedup", speedup);
-      // On a single hardware thread no parallel driver can beat the
-      // sequential run; mark the row so bench_gate's speedup floors
-      // exempt it instead of failing on an impossible claim.
-      if (std::thread::hardware_concurrency() <= 1) {
-        row.Set("single_core_host", true);
-      }
+    }
+    const char* mode = threads == 1 ? "sequential" : "worksteal";
+    const double speedup = seq_ms / (ms > 0 ? ms : 1e-3);
+    std::printf("%10s %8d %12.2f %10zu %10llu %8llu %7.2fx\n", mode,
+                threads, ms, result.frozen.size(),
+                static_cast<unsigned long long>(result.stats.expand_calls),
+                static_cast<unsigned long long>(result.stats.parallel_steals),
+                speedup);
+    BenchReporter::Row& row =
+        reporter.AddRow()
+            .Set("workload", workload.name)
+            .Set("mode", mode)
+            .Set("threads", threads)
+            .Set("ms", ms)
+            .Set("frozen", static_cast<uint64_t>(result.frozen.size()))
+            .Set("expand_calls", result.stats.expand_calls)
+            .Set("tasks", result.stats.parallel_tasks)
+            .Set("steals", result.stats.parallel_steals)
+            .Set("speedup", speedup);
+    if (threads == 1) continue;
+    // No row can show a speedup on one hardware thread, and the gated
+    // 4-thread row needs four: mark such rows so bench_gate's floors
+    // exempt them instead of failing on an impossible claim.
+    const bool gated = std::string(workload.name) == "skewed" && threads == 4;
+    if (gated) row.Set("worksteal_speedup_4t", speedup);
+    if (std::thread::hardware_concurrency() < (gated ? 4u : 2u)) {
+      row.Set("single_core_host", true);
     }
   }
 }
 
 void Run() {
-  // Monolithic id-order search, so the drivers split the same tree the
+  // Monolithic id-order search, so the driver splits the same tree the
   // committed BENCH_parallel rows measured.
   DimsatOptions options;
   options.decompose = false;
@@ -200,11 +181,10 @@ void Run() {
 
   std::printf(
       "\nExpected shape: on multi-core hosts the work-stealing driver "
-      "tracks the static partition on the uniform workload and beats it "
-      "decisively on the skewed one (the static split pins the heavy "
-      "seed to one thread). This host reports %u hardware threads — on "
-      "a single core only the correctness claim and the scheduling "
-      "overhead are observable.\n",
+      "speeds up both workloads, the skewed one included (stealing "
+      "rebalances the heavy subtree). This host reports %u hardware "
+      "threads — on a single core only the correctness claim and the "
+      "scheduling overhead are observable.\n",
       std::thread::hardware_concurrency());
   reporter.WriteJson();
 }

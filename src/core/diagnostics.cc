@@ -58,8 +58,11 @@ Result<DimensionSchema> MinimizeConstraintSet(const DimensionSchema& ds,
 Result<std::vector<size_t>> UnsatisfiableCore(const DimensionSchema& ds,
                                               CategoryId category,
                                               const DimsatOptions& options) {
+  // Sequential, so budget stops fall where they always did.
+  DimsatOptions sequential = options;
+  sequential.num_threads = 1;
   {
-    DimsatResult full = Dimsat(ds, category, options);
+    DimsatResult full = Dimsat(ds, category, sequential);
     OLAPDC_RETURN_NOT_OK(full.status);
     if (full.satisfiable) {
       return Status::InvalidArgument(
@@ -71,7 +74,7 @@ Result<std::vector<size_t>> UnsatisfiableCore(const DimensionSchema& ds,
   for (size_t i = 0; i < n; ++i) {
     keep[i] = false;
     DimensionSchema rest = Restrict(ds, keep);
-    DimsatResult r = Dimsat(rest, category, options);
+    DimsatResult r = Dimsat(rest, category, sequential);
     OLAPDC_RETURN_NOT_OK(r.status);
     if (r.satisfiable) keep[i] = true;  // needed for unsatisfiability
   }

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/fault_injector.h"
@@ -94,22 +93,6 @@ std::string DimsatTraceEvent::ToString(const HierarchySchema& schema) const {
 
 namespace {
 
-/// Sigma(ds, root) with composed/through shorthands expanded into plain
-/// path atoms, so the circle operator and the into-detection see the
-/// Definition 3 core language.
-Result<std::vector<DimensionConstraint>> PrepareRelevantConstraints(
-    const DimensionSchema& ds, CategoryId root, size_t path_limit) {
-  std::vector<DimensionConstraint> prepared;
-  for (const DimensionConstraint* c : ds.RelevantConstraints(root)) {
-    OLAPDC_ASSIGN_OR_RETURN(
-        ExprPtr expanded,
-        ExpandShorthands(ds.hierarchy(), c->expr, path_limit));
-    prepared.push_back(DimensionConstraint{c->root, Simplify(expanded),
-                                           c->label});
-  }
-  return prepared;
-}
-
 /// Heap-byte estimate of one Subhierarchy over n categories (three
 /// n-vectors of n-bit sets plus the top-level sets) — the unit of the
 /// memory-budget accounting for search state, parallel task seeds, and
@@ -119,6 +102,12 @@ uint64_t ApproxSubhierarchyBytes(int num_categories) {
   const uint64_t n = static_cast<uint64_t>(num_categories);
   const uint64_t bitset_bytes = 16 + ((n + 63) / 64) * 8;
   return 3 * n * bitset_bytes + 3 * bitset_bytes + 128;
+}
+
+/// A frozen dimension is a subhierarchy plus its name assignment.
+uint64_t ApproxFrozenBytes(int num_categories) {
+  return ApproxSubhierarchyBytes(num_categories) +
+         static_cast<uint64_t>(num_categories) * 24;
 }
 
 /// Emits the EXPAND begin/end pair of one search-tree node into the
@@ -183,8 +172,7 @@ class DimsatSearch {
     // One undo frame journals the expanded category's Below snapshots —
     // a handful of bitsets in the common case.
     frame_bytes_ = 4 * bitset_bytes + 96;
-    // A frozen dimension is a subhierarchy plus its name assignment.
-    frozen_bytes_ = subhierarchy_bytes_ + n * 24;
+    frozen_bytes_ = ApproxFrozenBytes(schema_.num_categories());
     // The explain gate is cached once per search (like the metrics
     // enabled bit) so the disabled hot path pays one pointer test.
     if (obs::SearchTreeRecorder::Global().enabled()) {
@@ -208,7 +196,8 @@ class DimsatSearch {
   DimsatResult Run() { return Start(0); }
 
   /// Continues the search from a partially built subhierarchy at the
-  /// given recursion depth (the parallel drivers seed tasks this way).
+  /// given recursion depth (the work-stealing driver seeds tasks this
+  /// way).
   DimsatResult RunFrom(Subhierarchy seed, int depth) {
     g_ = std::move(seed);
     return Start(depth);
@@ -226,18 +215,19 @@ class DimsatSearch {
     return std::move(result_);
   }
 
-  /// Component searches of a decomposed run (core/decompose.h) share
-  /// one search — its subhierarchy, undo log, memory reservation,
-  /// budget checker and statistics — and run one after another.
-  /// SolveComponent() restricts successor choices to `universe` (the
-  /// component's categories plus root and All), checks against the
-  /// component's constraints, tags captured checkpoint frames with
-  /// `component`, and returns the component's models. It replays
-  /// `*frames` when non-empty (a resumed component) and otherwise
-  /// searches from the bare root. Statistics accumulate across
-  /// components, so max_expand_calls caps the whole run; a non-OK
-  /// status() after the call means the run stopped in this component.
-  /// `universe` and `relevant` are borrowed until the next call.
+  /// Solves one component of a decomposed run (core/decompose.h):
+  /// restricts successor choices to `universe` (the component's
+  /// categories plus root and All), checks against the component's
+  /// constraints, tags captured checkpoint frames with `component`,
+  /// and returns the component's models. It replays `*frames` when
+  /// non-empty (a resumed component) and otherwise searches from the
+  /// bare root. The sequential driver runs every component on one
+  /// search — its subhierarchy, undo log, memory reservation, budget
+  /// checker and statistics — so statistics accumulate across
+  /// components; each parallel component task has a search of its own.
+  /// A non-OK status() after the call means the run stopped in this
+  /// component. `universe` and `relevant` are borrowed until the next
+  /// call.
   std::vector<FrozenDimension> SolveComponent(
       int component, const DynamicBitset& universe,
       std::span<const DimensionConstraint> relevant, uint64_t nogood_salt,
@@ -279,12 +269,13 @@ class DimsatSearch {
     split_depth_ = split_depth;
   }
 
-  /// Restricts successor choices to a category universe — the
-  /// component tasks of the parallel decomposed driver pass their
-  /// component's categories plus root and All. Null (the default)
-  /// leaves the search unrestricted. Not owned; must outlive the
-  /// search.
-  void set_universe(const DynamicBitset* universe) { universe_ = universe; }
+  /// Parallel runs: every search of one run counts its EXPANDs against
+  /// options.max_expand_calls on this shared counter, so the cap bounds
+  /// the run, not each task. An uncapped run keeps its workers off the
+  /// shared cache line. Not owned; must outlive the search.
+  void set_expand_counter(std::atomic<uint64_t>* counter) {
+    if (options_.max_expand_calls != UINT64_MAX) run_expands_ = counter;
+  }
 
   /// Most-constrained-first branching (options.branch_heuristic):
   /// EXPAND picks the pending category with the smallest rank instead
@@ -520,7 +511,10 @@ class DimsatSearch {
       }
     }
     if (fresh) {
-      if (++result_.stats.expand_calls > options_.max_expand_calls) {
+      if (++result_.stats.expand_calls > options_.max_expand_calls ||
+          (run_expands_ != nullptr &&
+           run_expands_->fetch_add(1, std::memory_order_relaxed) >=
+               options_.max_expand_calls)) {
         // Uncount the node: it is captured unprocessed (next_mask 0),
         // so the resumed run counts it when it actually expands it.
         --result_.stats.expand_calls;
@@ -727,6 +721,8 @@ class DimsatSearch {
   uint64_t nogood_salt_ = 0;
   DimsatResult result_;
   std::atomic<bool>* external_stop_ = nullptr;
+  /// The parallel run's shared EXPAND count (null = this search's own).
+  std::atomic<uint64_t>* run_expands_ = nullptr;
   std::function<void(Subhierarchy&&, int)> spawner_;
   int split_depth_ = 0;
   /// Category universe restriction (decomposed component searches).
@@ -859,17 +855,169 @@ std::vector<int> ComponentsToSearch(const ComponentSplit& split,
   return to_search;
 }
 
-/// Decision-mode witness of a run whose searched components all
-/// yielded a model: the union of each one's first model.
-FrozenDimension MergeWitness(
-    const std::vector<int>& to_search,
-    std::vector<std::vector<FrozenDimension>>* models) {
-  FrozenDimension fd = std::move((*models)[to_search[0]][0]);
-  for (size_t j = 1; j < to_search.size(); ++j) {
-    MergeDisjointInto((*models)[to_search[j]][0], &fd);
+/// The verdict and composition of a decomposed run once its component
+/// searches have stopped, shared by the sequential and the parallel
+/// driver. `models[k]` holds component k's models, `err` the first
+/// budget error of a searched component (OK if none), and `unsat` says
+/// a required component was searched to completion without a model
+/// (decision mode). Composed models are charged against the memory
+/// budget; a charge that fails leaves its error in result->status and
+/// no frozen dimension behind.
+void ComposeComponents(const DimsatOptions& options, int num_categories,
+                       const ComponentSplit& split,
+                       const std::vector<int>& to_search, bool scan_mode,
+                       bool unsat, const Status& err,
+                       std::vector<std::vector<FrozenDimension>>* models,
+                       DimsatResult* result) {
+  if (!options.enumerate_all) {
+    if (scan_mode) {
+      // A witness is a verdict even when another component errored.
+      for (int k : to_search) {
+        if (!(*models)[k].empty()) {
+          result->frozen.push_back(std::move((*models)[k][0]));
+          break;
+        }
+      }
+      if (result->frozen.empty()) result->status = err;
+    } else if (unsat) {
+      // Some required component is exhaustively UNSAT: the whole
+      // query is, regardless of how the other components stopped.
+    } else if (!err.ok()) {
+      result->status = err;
+    } else {
+      // Every searched component yielded a model: the witness is the
+      // union of each one's first.
+      FrozenDimension fd = std::move((*models)[to_search[0]][0]);
+      for (size_t j = 1; j < to_search.size(); ++j) {
+        MergeDisjointInto((*models)[to_search[j]][0], &fd);
+      }
+      result->frozen.push_back(std::move(fd));
+    }
+  } else if (!err.ok()) {
+    result->status = err;
+  } else {
+    MemoryReservation mem(options.budget != nullptr
+                              ? options.budget->memory()
+                              : nullptr);
+    Status composed =
+        ComposeFrozen(split, *models, options.max_frozen,
+                      ApproxFrozenBytes(num_categories), &mem,
+                      &result->frozen);
+    if (!composed.ok()) {
+      result->status = std::move(composed);
+      result->frozen.clear();
+    }
   }
-  return fd;
+  result->satisfiable = !result->frozen.empty();
+  result->stats.frozen_found = result->frozen.size();
 }
+
+DimsatResult Failed(Status status) {
+  DimsatResult result;
+  result.status = std::move(status);
+  return result;
+}
+
+/// The prologue and epilogue every entry point shares. Construction
+/// opens the run's span and starts its wall clock (sampled only when
+/// metrics or a trace sink listen, so an unobserved run pays one
+/// branch); Prepare() builds what the drivers search with; Finish()
+/// publishes the finished run.
+class DimsatRun {
+ public:
+  DimsatRun(const DimensionSchema& ds, CategoryId root,
+            const DimsatOptions& options, const char* span_name,
+            bool resume)
+      : ds(ds),
+        root(root),
+        options(options),
+        resume_(resume),
+        span_(span_name),
+        observed_(obs::MetricsEnabled() ||
+                  obs::TraceSink::Global().enabled()) {
+    if (observed_) start_ = std::chrono::steady_clock::now();
+  }
+
+  /// Sigma(ds, root) with composed/through shorthands expanded into
+  /// plain path atoms (so the circle operator and the into-detection
+  /// see the Definition 3 core language), the checkpoint sink cleared,
+  /// the branching rank when `branch_heuristic`, and the component
+  /// split when `decompose`.
+  Status Prepare(bool branch_heuristic, bool decompose) {
+    for (const DimensionConstraint* c : ds.RelevantConstraints(root)) {
+      OLAPDC_ASSIGN_OR_RETURN(
+          ExprPtr expanded,
+          ExpandShorthands(ds.hierarchy(), c->expr, options.path_limit));
+      relevant.push_back(
+          DimensionConstraint{c->root, Simplify(expanded), c->label});
+    }
+    if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
+    if (branch_heuristic) {
+      rank_ = ComputeBranchRank(ds);
+      branch_rank = &rank_;
+    }
+    if (decompose) {
+      split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
+    }
+    return Status::OK();
+  }
+
+  /// Publishes the run counters, the olapdc.dimsat.* metrics and the
+  /// span statistics; a parallel run (`pool` non-null) adds the pool's
+  /// thread, task and steal counts.
+  void Finish(const DimsatResult& result, exec::WorkStealingPool* pool) {
+    if (obs::MetricsEnabled()) {
+      if (resume_) {
+        obs::Count("olapdc.dimsat.resumes");
+      } else if (split.eligible) {
+        obs::Count("olapdc.dimsat.decomposed_runs");
+      }
+      if (options.checkpoint != nullptr && !options.checkpoint->empty()) {
+        obs::Count("olapdc.dimsat.checkpoints");
+      }
+    }
+    if (!observed_) return;
+    if (pool != nullptr) pool->PublishMetricNames();
+    FlushDimsatMetrics(result.stats, result.status,
+                       std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start_)
+                           .count());
+    if (!span_.active()) return;
+    if (pool != nullptr) {
+      span_.AddStat("threads", pool->num_threads());
+      span_.AddStat("tasks", result.stats.parallel_tasks);
+      span_.AddStat("steals", result.stats.parallel_steals);
+    }
+    span_.AddStat("root", ds.hierarchy().CategoryName(root));
+    span_.AddStat("satisfiable", result.satisfiable);
+    span_.AddStat("expand_calls", result.stats.expand_calls);
+    span_.AddStat("check_calls", result.stats.check_calls);
+    span_.AddStat("prune_into", result.stats.into_prunes);
+    span_.AddStat("prune_shortcut", result.stats.shortcut_prunes);
+    span_.AddStat("prune_cycle", result.stats.cycle_prunes);
+    span_.AddStat("dead_ends", result.stats.dead_ends);
+    span_.AddStat("frozen_found", result.stats.frozen_found);
+    if (!result.status.ok()) {
+      span_.AddStat("status", StatusCodeToString(result.status.code()));
+    }
+  }
+
+  const DimensionSchema& ds;
+  const CategoryId root;
+  const DimsatOptions& options;
+  std::vector<DimensionConstraint> relevant;
+  /// The most-constrained-first rank; null = id order.
+  const std::vector<uint64_t>* branch_rank = nullptr;
+  /// Eligible only when the run decomposes.
+  ComponentSplit split;
+
+ private:
+  const bool resume_;
+  obs::ObsSpan span_;
+  const bool observed_;
+  std::chrono::steady_clock::time_point start_;
+  std::vector<uint64_t> rank_;
+};
 
 /// The sequential decomposed driver: the components are searched one
 /// after another on a single DimsatSearch, in deterministic order, then
@@ -879,14 +1027,14 @@ FrozenDimension MergeWitness(
 /// seed frames for components not yet started — and reports *no*
 /// frozen dimensions (partial per-component sets cannot compose; the
 /// resume emits the full composed set instead).
-DimsatResult RunDecomposedSequential(
-    const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    std::vector<DimensionConstraint> relevant, const ComponentSplit& split,
-    const std::vector<uint64_t>* branch_rank, DimsatCheckpoint* resume_from) {
-  const int n = ds.hierarchy().num_categories();
+DimsatResult RunDecomposedSequential(DimsatRun& run,
+                                     DimsatCheckpoint* resume_from) {
+  const DimsatOptions& options = run.options;
+  const ComponentSplit& split = run.split;
+  const int n = run.ds.hierarchy().num_categories();
   const int w = static_cast<int>(split.num_components());
   DimsatResult result;
-  const ComponentConstraints constraints(std::move(relevant), split);
+  const ComponentConstraints constraints(std::move(run.relevant), split);
   bool scan_mode = false;
   const std::vector<int> to_search =
       ComponentsToSearch(split, options.enumerate_all, &scan_mode);
@@ -916,14 +1064,20 @@ DimsatResult RunDecomposedSequential(
   DimsatOptions search_options = options;
   search_options.checkpoint =
       options.checkpoint != nullptr ? &local_cp : nullptr;
-  DimsatSearch search(ds, root, search_options, {});
-  if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
+  DimsatSearch search(run.ds, run.root, search_options, {});
+  search.set_branch_rank(run.branch_rank);
+  // The v2 checkpoint this run leaves behind, header filled in.
+  auto capture = [&]() {
+    DimsatCheckpoint* cp = options.checkpoint;
+    cp->root = run.root;
+    cp->num_categories = n;
+    cp->num_components = w;
+    cp->branch_heuristic = run.branch_rank != nullptr;
+    return cp;
+  };
 
-  bool interrupted = false;
-  int interrupted_comp = -1;
-  size_t interrupted_idx = 0;
+  int interrupted_idx = -1;
   bool unsat_proven = false;
-  int witness_comp = -1;
   for (size_t idx = 0; idx < to_search.size(); ++idx) {
     const int k = to_search[idx];
     if (!done[k]) {
@@ -932,21 +1086,16 @@ DimsatResult RunDecomposedSequential(
                                 split.salts[k], &frames[k]);
       for (FrozenDimension& f : found) models[k].push_back(std::move(f));
       if (!search.status().ok()) {
-        result.status = search.status();
-        interrupted = true;
-        interrupted_comp = k;
-        interrupted_idx = idx;
+        interrupted_idx = static_cast<int>(idx);
         break;
       }
       done[k] = 1;
     }
     if (!options.enumerate_all) {
-      if (scan_mode) {
-        if (!models[k].empty()) {
-          witness_comp = k;
-          break;
-        }
-      } else if (models[k].empty()) {
+      // A scan-mode witness, or a required component without a model,
+      // decides the run.
+      if (scan_mode && !models[k].empty()) break;
+      if (!scan_mode && models[k].empty()) {
         unsat_proven = true;
         break;
       }
@@ -954,14 +1103,12 @@ DimsatResult RunDecomposedSequential(
   }
   result.stats = search.stats();
 
-  if (interrupted) {
+  if (interrupted_idx >= 0) {
+    result.status = search.status();
     if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-      DimsatCheckpoint* cp = options.checkpoint;
-      cp->root = root;
-      cp->num_categories = n;
-      cp->num_components = w;
-      cp->branch_heuristic = branch_rank != nullptr;
+      DimsatCheckpoint* cp = capture();
       cp->frames = std::move(local_cp.frames);
+      const int interrupted_comp = to_search[interrupted_idx];
       if (!models[interrupted_comp].empty()) {
         cp->solved.push_back(DimsatSolvedComponent{
             interrupted_comp, std::move(models[interrupted_comp])});
@@ -983,7 +1130,7 @@ DimsatResult RunDecomposedSequential(
           }
         } else {
           cp->frames.push_back(DimsatCheckpointFrame{
-              Subhierarchy(n, root), 0, 0, k});
+              Subhierarchy(n, run.root), 0, 0, k});
         }
       }
     }
@@ -992,159 +1139,42 @@ DimsatResult RunDecomposedSequential(
     return result;
   }
 
-  // Verdict / composition.
-  MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
-                                                  : nullptr);
-  const uint64_t frozen_bytes =
-      ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
-  if (!options.enumerate_all) {
-    if (!unsat_proven) {
-      if (scan_mode) {
-        if (witness_comp >= 0) {
-          result.frozen.push_back(std::move(models[witness_comp][0]));
-        }
-      } else {
-        result.frozen.push_back(MergeWitness(to_search, &models));
-      }
-    }
-  } else {
-    Status composed = ComposeFrozen(split, models, options.max_frozen,
-                                    frozen_bytes, &mem, &result.frozen);
-    if (!composed.ok()) {
-      result.status = std::move(composed);
-      result.frozen.clear();
-      if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
-        // Everything is solved; the resume only needs to recompose.
-        DimsatCheckpoint* cp = options.checkpoint;
-        cp->root = root;
-        cp->num_categories = n;
-        cp->num_components = w;
-        cp->branch_heuristic = branch_rank != nullptr;
-        for (int k = 0; k < w; ++k) {
-          cp->solved.push_back(
-              DimsatSolvedComponent{k, std::move(models[k])});
-        }
-      }
-      result.satisfiable = false;
-      result.stats.frozen_found = 0;
-      return result;
+  ComposeComponents(options, n, split, to_search, scan_mode, unsat_proven,
+                    Status::OK(), &models, &result);
+  if (IsBudgetError(result.status) && options.checkpoint != nullptr) {
+    // Only the composition can stop here. Everything is solved; the
+    // resume only needs to recompose.
+    DimsatCheckpoint* cp = capture();
+    for (int k = 0; k < w; ++k) {
+      cp->solved.push_back(DimsatSolvedComponent{k, std::move(models[k])});
     }
   }
-  result.satisfiable = !result.frozen.empty();
-  result.stats.frozen_found = result.frozen.size();
   return result;
 }
 
-/// First-level expansion choices of `root` under the schema+options —
-/// the static driver's work items. Mirrors one EXPAND step (the seeds
-/// are exactly the subhierarchies the sequential search would recurse
-/// into).
-std::vector<Subhierarchy> FirstLevelSeeds(const DimensionSchema& ds,
-                                          CategoryId root,
-                                          const DimsatOptions& options) {
-  const HierarchySchema& schema = ds.hierarchy();
-  std::vector<Subhierarchy> seeds;
-  Subhierarchy g(schema.num_categories(), root);
-  if (root == schema.all()) return seeds;  // nothing to expand
-
-  DynamicBitset allowed(schema.num_categories());
-  DynamicBitset into(schema.num_categories());
-  for (CategoryId c : schema.graph().OutNeighbors(root)) {
-    allowed.set(c);  // no cycles/shortcuts possible at depth one
-    if (ds.IntoTargets(root).test(c)) into.set(c);
-  }
-  if (!options.prune_into) into.clear();
-  std::vector<CategoryId> free;
-  (allowed - into).ForEach([&](int c) { free.push_back(c); });
-  OLAPDC_CHECK(free.size() < 31);
-  const uint32_t subsets = uint32_t{1} << free.size();
-  for (uint32_t mask = 0; mask < subsets; ++mask) {
-    DynamicBitset r = into;
-    for (size_t i = 0; i < free.size(); ++i) {
-      if (mask & (uint32_t{1} << i)) r.set(free[i]);
-    }
-    if (r.none()) continue;
-    Subhierarchy child = g;
-    child.Expand(root, r);
-    seeds.push_back(std::move(child));
-  }
-  return seeds;
-}
-
-}  // namespace
-
-namespace {
-
-/// Wall-clock sampled only when someone is listening (metrics or a
-/// trace sink); otherwise the run pays one branch.
-class ObservedRun {
- public:
-  ObservedRun() : observed_(obs::MetricsEnabled() ||
-                            obs::TraceSink::Global().enabled()) {
-    if (observed_) start_ = std::chrono::steady_clock::now();
-  }
-  double ElapsedUs() const {
-    if (!observed_) return 0;
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-  bool observed() const { return observed_; }
-
- private:
-  bool observed_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Attaches the per-run search statistics to a trace span.
-void AnnotateSpan(obs::ObsSpan& span, const HierarchySchema& schema,
-                  CategoryId root, const DimsatResult& result) {
-  if (!span.active()) return;
-  span.AddStat("root", schema.CategoryName(root));
-  span.AddStat("satisfiable", result.satisfiable);
-  span.AddStat("expand_calls", result.stats.expand_calls);
-  span.AddStat("check_calls", result.stats.check_calls);
-  span.AddStat("prune_into", result.stats.into_prunes);
-  span.AddStat("prune_shortcut", result.stats.shortcut_prunes);
-  span.AddStat("prune_cycle", result.stats.cycle_prunes);
-  span.AddStat("dead_ends", result.stats.dead_ends);
-  span.AddStat("frozen_found", result.stats.frozen_found);
-  if (!result.status.ok()) {
-    span.AddStat("status", StatusCodeToString(result.status.code()));
-  }
-}
-
-/// Everything the work-stealing tasks share. Lives on the caller's
-/// stack; the TaskGroup drains before it dies.
+/// Everything the tasks of one parallel run share. Lives on the
+/// caller's stack; the TaskGroup drains before it dies.
 struct ParallelShared {
-  ParallelShared(const DimensionSchema& ds, CategoryId root,
-                 const DimsatOptions& options,
-                 const std::vector<DimensionConstraint>& relevant,
-                 exec::WorkStealingPool* pool)
-      : ds(ds),
-        root(root),
-        options(options),
-        relevant(relevant),
-        mem(options.budget != nullptr ? options.budget->memory() : nullptr),
-        seed_bytes(ApproxSubhierarchyBytes(ds.hierarchy().num_categories())),
+  ParallelShared(DimsatRun& run, exec::WorkStealingPool* pool)
+      : run(run),
+        mem(run.options.budget != nullptr ? run.options.budget->memory()
+                                          : nullptr),
+        seed_bytes(
+            ApproxSubhierarchyBytes(run.ds.hierarchy().num_categories())),
         group(pool) {}
 
-  const DimensionSchema& ds;
-  const CategoryId root;
-  const DimsatOptions& options;
-  const std::vector<DimensionConstraint>& relevant;
+  DimsatRun& run;
   /// Queued task seeds are charged against the request's memory budget
   /// while they sit in the pool (reserved at spawn, released when the
   /// task starts and the seed is consumed).
   MemoryBudget* const mem;
   const uint64_t seed_bytes;
-  /// Branching rank shared by every worker (options.branch_heuristic);
-  /// null = declaration order. Outlives the task group.
-  const std::vector<uint64_t>* branch_rank = nullptr;
   exec::TaskGroup group;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> tasks{0};
   std::atomic<uint64_t> stolen{0};
+  /// The run's EXPAND count against options.max_expand_calls.
+  std::atomic<uint64_t> expands{0};
   std::mutex mu;
   DimsatResult merged;  // frozen/stats/status guarded by mu
 };
@@ -1185,17 +1215,16 @@ void RunSubtreeTask(ParallelShared* shared, Subhierarchy seed, int depth) {
   }
   if (shared->stop.load(std::memory_order_acquire)) return;
 
-  DimsatSearch search(shared->ds, shared->root, shared->options,
-                      shared->relevant);
-  if (shared->branch_rank != nullptr) {
-    search.set_branch_rank(shared->branch_rank);
-  }
+  const DimsatRun& run = shared->run;
+  DimsatSearch search(run.ds, run.root, run.options, run.relevant);
+  search.set_branch_rank(run.branch_rank);
   search.set_external_stop(&shared->stop);
+  search.set_expand_counter(&shared->expands);
   search.set_spawner(
       [shared](Subhierarchy&& child, int child_depth) {
         SpawnSubtree(shared, std::move(child), child_depth);
       },
-      shared->options.parallel_split_depth);
+      run.options.parallel_split_depth);
   DimsatResult partial = search.RunFrom(std::move(seed), depth);
 
   std::lock_guard<std::mutex> lock(shared->mu);
@@ -1207,73 +1236,95 @@ void RunSubtreeTask(ParallelShared* shared, Subhierarchy seed, int depth) {
     shared->stop.store(true, std::memory_order_release);
   }
   for (FrozenDimension& f : partial.frozen) {
-    if (shared->merged.frozen.size() >= shared->options.max_frozen) break;
+    if (shared->merged.frozen.size() >= run.options.max_frozen) break;
     shared->merged.frozen.push_back(std::move(f));
   }
-  if (!shared->merged.frozen.empty() && !shared->options.enumerate_all) {
+  if (!shared->merged.frozen.empty() && !run.options.enumerate_all) {
     shared->stop.store(true, std::memory_order_release);
   }
-  if (shared->merged.frozen.size() >= shared->options.max_frozen) {
+  if (shared->merged.frozen.size() >= run.options.max_frozen) {
     shared->stop.store(true, std::memory_order_release);
   }
 }
 
+/// The monolithic work-stealing driver: EXPAND nodes above
+/// options.parallel_split_depth become stealable tasks, so skewed
+/// subtrees rebalance dynamically instead of serializing on whichever
+/// worker drew them.
+DimsatResult RunWorkStealing(ParallelShared* shared) {
+  const DimsatRun& run = shared->run;
+  SpawnSubtree(shared,
+               Subhierarchy(run.ds.hierarchy().num_categories(), run.root),
+               0);
+  shared->group.Wait();
+
+  DimsatResult merged = std::move(shared->merged);
+  // A budget error from a worker that was merely told to stop early is
+  // not an error of the whole run.
+  if (shared->stop.load() && !run.options.enumerate_all &&
+      !merged.frozen.empty()) {
+    merged.status = Status::OK();
+  }
+  merged.satisfiable = !merged.frozen.empty();
+  merged.stats.frozen_found = merged.frozen.size();
+  return merged;
+}
+
 /// The decomposed parallel driver: one pool task per component — the
-/// component *is* the steal granularity, replacing the depth-split of
+/// component *is* the steal granularity, replacing the depth split of
 /// the monolithic driver (components are independent by construction,
 /// so no merge locking, no cross-task subtree spawning, and the
-/// shared stop flag only fires on verdict-deciding events). Each task
-/// runs the component search sequentially; the composition step runs
-/// on the caller's thread after the group drains.
-DimsatResult RunDecomposedParallel(
-    const DimensionSchema& ds, CategoryId root, const DimsatOptions& options,
-    std::vector<DimensionConstraint> relevant, const ComponentSplit& split,
-    const std::vector<uint64_t>* branch_rank, exec::WorkStealingPool& pool) {
+/// shared stop flag only fires on verdict-deciding events and budget
+/// stops). Each task solves its component sequentially; the
+/// composition runs on the caller's thread after the group drains.
+DimsatResult RunDecomposedParallel(ParallelShared* shared) {
+  DimsatRun& run = shared->run;
+  const DimsatOptions& options = run.options;
+  const ComponentSplit& split = run.split;
   const int w = static_cast<int>(split.num_components());
-  const ComponentConstraints constraints(std::move(relevant), split);
+  const ComponentConstraints constraints(std::move(run.relevant), split);
   bool scan_mode = false;
   const std::vector<int> to_search =
       ComponentsToSearch(split, options.enumerate_all, &scan_mode);
 
-  std::vector<DimsatResult> partials(w);
-  std::atomic<bool> stop{false};
+  std::vector<std::vector<FrozenDimension>> models(w);
+  std::vector<DimsatResult> partials(w);  // stats and status only
   /// Set only by semantic verdicts (a scan-mode witness, a required
   /// component proven UNSAT) — never by budget errors, so the
-  /// post-drain logic can tell "decided" from "interrupted".
+  /// composition can tell "decided" from "interrupted".
   std::atomic<bool> decided{false};
-  std::atomic<uint64_t> tasks{0}, stolen{0};
-  exec::TaskGroup group(&pool);
   for (int k : to_search) {
-    group.Spawn([&, k]() {
-      tasks.fetch_add(1, std::memory_order_relaxed);
+    shared->group.Spawn([&, shared, k]() {
+      shared->tasks.fetch_add(1, std::memory_order_relaxed);
       if (exec::WorkStealingPool::CurrentTaskStolen()) {
-        stolen.fetch_add(1, std::memory_order_relaxed);
+        shared->stolen.fetch_add(1, std::memory_order_relaxed);
       }
-      if (stop.load(std::memory_order_acquire)) return;
-      DimsatOptions comp_opts = options;
-      comp_opts.nogood_salt = split.salts[k];
-      comp_opts.checkpoint = nullptr;
-      DimsatSearch search(ds, root, comp_opts, constraints.of(k));
-      search.set_universe(&split.universes[k]);
-      if (branch_rank != nullptr) search.set_branch_rank(branch_rank);
-      search.set_external_stop(&stop);
-      DimsatResult r = search.Run();
+      if (shared->stop.load(std::memory_order_acquire)) return;
+      DimsatSearch search(run.ds, run.root, options, {});
+      search.set_branch_rank(run.branch_rank);
+      search.set_external_stop(&shared->stop);
+      search.set_expand_counter(&shared->expands);
+      std::vector<DimsatCheckpointFrame> fresh;
+      models[k] = search.SolveComponent(k, split.universes[k],
+                                        constraints.of(k), split.salts[k],
+                                        &fresh);
+      partials[k].stats = search.stats();
+      partials[k].status = search.status();
+      const bool errored = !search.status().ok();
       bool verdict = false;
-      if (r.status.ok() && !options.enumerate_all &&
-          !stop.load(std::memory_order_acquire)) {
+      if (!errored && !options.enumerate_all &&
+          !shared->stop.load(std::memory_order_acquire)) {
         // Completed cleanly: a scan-mode witness or a required
         // component with no model decides the whole run.
-        verdict = scan_mode ? !r.frozen.empty() : r.frozen.empty();
+        verdict = scan_mode ? !models[k].empty() : models[k].empty();
       }
-      const bool errored = !r.status.ok();
-      partials[k] = std::move(r);
       if (verdict) decided.store(true, std::memory_order_release);
       if (verdict || errored) {
-        stop.store(true, std::memory_order_release);
+        shared->stop.store(true, std::memory_order_release);
       }
     });
   }
-  group.Wait();
+  shared->group.Wait();
 
   DimsatResult result;
   Status first_err;
@@ -1283,53 +1334,15 @@ DimsatResult RunDecomposedParallel(
       first_err = partials[k].status;
     }
   }
-  result.stats.parallel_tasks = tasks.load();
-  result.stats.parallel_steals = stolen.load();
-
-  MemoryReservation mem(options.budget != nullptr ? options.budget->memory()
-                                                  : nullptr);
-  const int n = ds.hierarchy().num_categories();
-  const uint64_t frozen_bytes =
-      ApproxSubhierarchyBytes(n) + static_cast<uint64_t>(n) * 24;
-  if (!options.enumerate_all) {
-    if (scan_mode) {
-      // A witness is a verdict even when another component errored.
-      for (int k : to_search) {
-        if (!partials[k].frozen.empty()) {
-          result.frozen.push_back(std::move(partials[k].frozen[0]));
-          break;
-        }
-      }
-      if (result.frozen.empty() && !first_err.ok()) {
-        result.status = first_err;
-      }
-    } else if (decided.load()) {
-      // Some required component is exhaustively UNSAT: the whole
-      // query is, regardless of how the other workers stopped.
-    } else if (!first_err.ok()) {
-      result.status = first_err;
-    } else {
-      std::vector<std::vector<FrozenDimension>> models(w);
-      for (int k : to_search) models[k] = std::move(partials[k].frozen);
-      result.frozen.push_back(MergeWitness(to_search, &models));
-    }
-  } else {
-    if (!first_err.ok()) {
-      result.status = first_err;
-    } else {
-      std::vector<std::vector<FrozenDimension>> models(w);
-      for (int k = 0; k < w; ++k) models[k] = std::move(partials[k].frozen);
-      Status composed = ComposeFrozen(split, models, options.max_frozen,
-                                      frozen_bytes, &mem, &result.frozen);
-      if (!composed.ok()) {
-        result.status = std::move(composed);
-        result.frozen.clear();
-      }
-    }
-  }
-  result.satisfiable = !result.frozen.empty();
-  result.stats.frozen_found = result.frozen.size();
+  ComposeComponents(options, run.ds.hierarchy().num_categories(), split,
+                    to_search, scan_mode, decided.load(), first_err, &models,
+                    &result);
   return result;
+}
+
+bool Decomposable(const DimsatOptions& options) {
+  return options.decompose && !options.collect_trace &&
+         !options.require_injective_names;
 }
 
 }  // namespace
@@ -1337,51 +1350,55 @@ DimsatResult RunDecomposedParallel(
 DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
                     const DimsatOptions& options) {
   OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  obs::ObsSpan span("dimsat.run");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    DimsatResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
-  if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
-  std::vector<uint64_t> rank;
-  const std::vector<uint64_t>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
+  // The Figure 7 trace and frontier capture are properties of one
+  // depth-first traversal: both run the sequential engine.
+  const bool parallel = options.num_threads > 1 && !options.collect_trace &&
+                        options.checkpoint == nullptr;
+  // Overload shedding happens before any other work: a shed request
+  // costs microseconds, holds nothing, and is safe to retry verbatim.
+  exec::AdmissionGate::Ticket ticket(parallel ? options.admission : nullptr);
+  if (!ticket.admitted()) return Failed(ticket.status());
+
+  DimsatRun run(ds, root, options,
+                parallel ? "dimsat.parallel_run" : "dimsat.run",
+                /*resume=*/false);
+  Status prepared = run.Prepare(options.branch_heuristic,
+                                Decomposable(options));
+  if (!prepared.ok()) return Failed(std::move(prepared));
+
   DimsatResult result;
-  bool decomposed = false;
-  if (options.decompose && !options.collect_trace &&
-      !options.require_injective_names) {
-    const ComponentSplit split =
-        ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    if (split.eligible) {
-      result = RunDecomposedSequential(ds, root, options, std::move(relevant),
-                                       split, rank_ptr, nullptr);
-      decomposed = true;
+  std::unique_ptr<exec::WorkStealingPool> local_pool;
+  exec::WorkStealingPool* pool = nullptr;
+  if (parallel) {
+    // An explicit options.pool wins. Otherwise use the shared process
+    // pool — unless it is smaller than the requested num_threads, in
+    // which case a run-local pool honors the caller's explicit request
+    // (e.g. num_threads=8 on a host whose process pool was sized 1)
+    // rather than silently degrading to the smaller pool.
+    pool = options.pool;
+    if (pool == nullptr) {
+      pool = &exec::ProcessPool();
+      if (pool->num_threads() < options.num_threads) {
+        local_pool =
+            std::make_unique<exec::WorkStealingPool>(options.num_threads);
+        pool = local_pool.get();
+      }
     }
-  }
-  if (!decomposed) {
-    DimsatSearch search(ds, root, options, relevant);
-    if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
+    ParallelShared shared(run, pool);
+    // Independent components replace the depth split as the steal
+    // granularity when the split is eligible.
+    result = run.split.eligible ? RunDecomposedParallel(&shared)
+                                : RunWorkStealing(&shared);
+    result.stats.parallel_tasks = shared.tasks.load();
+    result.stats.parallel_steals = shared.stolen.load();
+  } else if (run.split.eligible) {
+    result = RunDecomposedSequential(run, nullptr);
+  } else {
+    DimsatSearch search(ds, root, options, run.relevant);
+    search.set_branch_rank(run.branch_rank);
     result = search.Run();
   }
-  if (decomposed && obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.decomposed_runs");
-  }
-  if (options.checkpoint != nullptr && !options.checkpoint->empty() &&
-      obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.checkpoints");
-  }
-  if (run.observed()) {
-    FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
-    AnnotateSpan(span, ds.hierarchy(), root, result);
-  }
+  run.Finish(result, pool);
   return result;
 }
 
@@ -1389,277 +1406,54 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
                           const DimsatOptions& options,
                           DimsatCheckpoint checkpoint) {
   OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  DimsatResult result;
   if (checkpoint.empty()) {
     // The interrupted run already covered the whole tree.
-    return result;
+    return DimsatResult{};
   }
   if (checkpoint.root != root ||
       checkpoint.num_categories != ds.hierarchy().num_categories()) {
-    result.status = Status::InvalidArgument(
+    return Failed(Status::InvalidArgument(
         "checkpoint does not match this schema/root (root " +
         std::to_string(checkpoint.root) + "/" + std::to_string(root) +
         ", categories " + std::to_string(checkpoint.num_categories) + "/" +
-        std::to_string(ds.hierarchy().num_categories()) + ")");
-    return result;
+        std::to_string(ds.hierarchy().num_categories()) + ")"));
   }
-  obs::ObsSpan span("dimsat.resume");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    result.status = prepared.status();
-    return result;
-  }
-  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
-  if (options.checkpoint != nullptr) *options.checkpoint = DimsatCheckpoint{};
-  std::vector<uint64_t> rank;
-  const std::vector<uint64_t>* rank_ptr = nullptr;
+  DimsatRun run(ds, root, options, "dimsat.resume", /*resume=*/true);
   // The frames' next_mask values index the successor subsets of the
   // categories the interrupted run's order picked: replay under that
   // order, whatever these options ask for.
-  if (checkpoint.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-  if (checkpoint.num_components > 0) {
+  const bool decomposed = checkpoint.num_components > 0;
+  Status prepared = run.Prepare(checkpoint.branch_heuristic,
+                                decomposed && Decomposable(options));
+  if (!prepared.ok()) return Failed(std::move(prepared));
+
+  DimsatResult result;
+  if (decomposed) {
     // A decomposed checkpoint only resumes under options that
     // reproduce the interrupted run's exact component split (the
     // split is a pure function of schema, root, and salt).
-    ComponentSplit split;
-    if (options.decompose && !options.collect_trace &&
-        !options.require_injective_names) {
-      split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    }
-    if (!split.eligible ||
-        static_cast<int>(split.num_components()) !=
+    if (!run.split.eligible ||
+        static_cast<int>(run.split.num_components()) !=
             checkpoint.num_components) {
-      result.status = Status::InvalidArgument(
+      return Failed(Status::InvalidArgument(
           "decomposed checkpoint does not match: the current options and "
-          "schema do not reproduce the interrupted run's component split");
-      return result;
+          "schema do not reproduce the interrupted run's component split"));
     }
-    result = RunDecomposedSequential(ds, root, options, std::move(relevant),
-                                     split, rank_ptr, &checkpoint);
+    result = RunDecomposedSequential(run, &checkpoint);
   } else {
-    DimsatSearch search(ds, root, options, relevant);
-    if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
+    DimsatSearch search(ds, root, options, run.relevant);
+    search.set_branch_rank(run.branch_rank);
     result = search.RunResume(std::move(checkpoint));
   }
-  if (obs::MetricsEnabled()) {
-    obs::Count("olapdc.dimsat.resumes");
-    if (options.checkpoint != nullptr && !options.checkpoint->empty()) {
-      obs::Count("olapdc.dimsat.checkpoints");
-    }
-  }
-  if (run.observed()) {
-    FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
-    AnnotateSpan(span, ds.hierarchy(), root, result);
-  }
+  run.Finish(result, nullptr);
   return result;
-}
-
-DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
-                            const DimsatOptions& options, int num_threads) {
-  OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  OLAPDC_CHECK(!options.collect_trace)
-      << "tracing is inherently sequential; use Dimsat()";
-  OLAPDC_CHECK(options.checkpoint == nullptr)
-      << "checkpoint capture is sequential; use RunDimsat()/Dimsat()";
-  if (num_threads <= 1) return Dimsat(ds, root, options);
-
-  // Overload shedding happens before any other work: a shed request
-  // costs microseconds, holds nothing, and is safe to retry verbatim.
-  exec::AdmissionGate::Ticket ticket(options.admission);
-  if (!ticket.admitted()) {
-    DimsatResult result;
-    result.status = ticket.status();
-    return result;
-  }
-
-  obs::ObsSpan span("dimsat.parallel_run");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    DimsatResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  std::vector<DimensionConstraint> relevant = std::move(prepared).ValueOrDie();
-
-  // An explicit options.pool wins. Otherwise use the shared process
-  // pool — unless it is smaller than the requested num_threads, in
-  // which case a run-local pool honors the caller's explicit request
-  // (e.g. num_threads=8 on a host whose process pool was sized 1)
-  // rather than silently degrading to the smaller pool.
-  std::unique_ptr<exec::WorkStealingPool> local_pool;
-  exec::WorkStealingPool* pool_ptr = options.pool;
-  if (pool_ptr == nullptr) {
-    pool_ptr = &exec::ProcessPool();
-    if (pool_ptr->num_threads() < num_threads) {
-      local_pool = std::make_unique<exec::WorkStealingPool>(num_threads);
-      pool_ptr = local_pool.get();
-    }
-  }
-  exec::WorkStealingPool& pool = *pool_ptr;
-
-  std::vector<uint64_t> rank;
-  const std::vector<uint64_t>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-
-  // Component decomposition replaces depth-split as the steal
-  // granularity when the split is eligible: independent components
-  // need no merge lock and no subtree respawning.
-  if (options.decompose && !options.require_injective_names) {
-    const ComponentSplit split =
-        ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
-    if (split.eligible) {
-      DimsatResult result =
-          RunDecomposedParallel(ds, root, options, std::move(relevant), split,
-                                rank_ptr, pool);
-      if (obs::MetricsEnabled()) {
-        obs::Count("olapdc.dimsat.decomposed_runs");
-      }
-      if (run.observed()) {
-        pool.PublishMetricNames();
-        FlushDimsatMetrics(result.stats, result.status, run.ElapsedUs());
-        span.AddStat("threads", pool.num_threads());
-        span.AddStat("tasks", result.stats.parallel_tasks);
-        span.AddStat("steals", result.stats.parallel_steals);
-        AnnotateSpan(span, ds.hierarchy(), root, result);
-      }
-      return result;
-    }
-  }
-
-  ParallelShared shared(ds, root, options, relevant, &pool);
-  shared.branch_rank = rank_ptr;
-  SpawnSubtree(&shared,
-               Subhierarchy(ds.hierarchy().num_categories(), root), 0);
-  shared.group.Wait();
-
-  DimsatResult merged = std::move(shared.merged);
-  // A budget error from a worker that was merely told to stop early is
-  // not an error of the whole run.
-  if (shared.stop.load() && !options.enumerate_all &&
-      !merged.frozen.empty()) {
-    merged.status = Status::OK();
-  }
-  merged.satisfiable = !merged.frozen.empty();
-  merged.stats.frozen_found = merged.frozen.size();
-  merged.stats.parallel_tasks = shared.tasks.load();
-  merged.stats.parallel_steals = shared.stolen.load();
-  if (run.observed()) {
-    pool.PublishMetricNames();
-    FlushDimsatMetrics(merged.stats, merged.status, run.ElapsedUs());
-    span.AddStat("threads", pool.num_threads());
-    span.AddStat("tasks", merged.stats.parallel_tasks);
-    span.AddStat("steals", merged.stats.parallel_steals);
-    AnnotateSpan(span, ds.hierarchy(), root, merged);
-  }
-  return merged;
-}
-
-DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
-                                  const DimsatOptions& options,
-                                  int num_threads) {
-  OLAPDC_CHECK(0 <= root && root < ds.hierarchy().num_categories());
-  OLAPDC_CHECK(!options.collect_trace)
-      << "tracing is inherently sequential; use Dimsat()";
-  OLAPDC_CHECK(options.checkpoint == nullptr)
-      << "checkpoint capture is sequential; use RunDimsat()/Dimsat()";
-  if (num_threads <= 1) return Dimsat(ds, root, options);
-
-  obs::ObsSpan span("dimsat.parallel_run");
-  ObservedRun run;
-  Result<std::vector<DimensionConstraint>> prepared =
-      PrepareRelevantConstraints(ds, root, options.path_limit);
-  if (!prepared.ok()) {
-    DimsatResult result;
-    result.status = prepared.status();
-    return result;
-  }
-  const std::vector<DimensionConstraint> relevant =
-      std::move(prepared).ValueOrDie();
-  std::vector<Subhierarchy> seeds = FirstLevelSeeds(ds, root, options);
-  if (seeds.empty()) return Dimsat(ds, root, options);
-
-  std::vector<uint64_t> rank;
-  const std::vector<uint64_t>* rank_ptr = nullptr;
-  if (options.branch_heuristic) {
-    rank = ComputeBranchRank(ds);
-    rank_ptr = &rank;
-  }
-
-  // Per-worker budget: sum across workers may exceed a tight global
-  // budget by (threads - 1); acceptable for a backstop limit.
-  std::atomic<bool> stop(false);
-  std::atomic<size_t> next(0);
-  std::vector<DimsatResult> partials(seeds.size());
-
-  auto worker = [&]() {
-    while (!stop.load(std::memory_order_relaxed)) {
-      size_t index = next.fetch_add(1);
-      if (index >= seeds.size()) return;
-      DimsatSearch search(ds, root, options, relevant);
-      if (rank_ptr != nullptr) search.set_branch_rank(rank_ptr);
-      search.set_external_stop(&stop);
-      partials[index] = search.RunFrom(std::move(seeds[index]), 1);
-      if (partials[index].satisfiable && !options.enumerate_all) {
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  const int n = std::min<int>(num_threads, static_cast<int>(seeds.size()));
-  threads.reserve(n);
-  for (int i = 0; i < n; ++i) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-
-  DimsatResult merged;
-  for (DimsatResult& partial : partials) {
-    AccumulateStats(&merged.stats, partial.stats);
-    if (!partial.status.ok() && merged.status.ok()) {
-      merged.status = partial.status;
-    }
-    for (FrozenDimension& f : partial.frozen) {
-      if (merged.frozen.size() >= options.max_frozen) break;
-      merged.frozen.push_back(std::move(f));
-    }
-  }
-  // A budget error from a worker that was merely told to stop early is
-  // not an error of the whole run.
-  if (stop.load() && !options.enumerate_all && !merged.frozen.empty()) {
-    merged.status = Status::OK();
-  }
-  merged.satisfiable = !merged.frozen.empty();
-  merged.stats.frozen_found = merged.frozen.size();
-  if (run.observed()) {
-    FlushDimsatMetrics(merged.stats, merged.status, run.ElapsedUs());
-    span.AddStat("threads", n);
-    AnnotateSpan(span, ds.hierarchy(), root, merged);
-  }
-  return merged;
-}
-
-DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
-                       const DimsatOptions& options) {
-  if (options.num_threads <= 1 || options.collect_trace ||
-      options.checkpoint != nullptr) {
-    return Dimsat(ds, root, options);
-  }
-  return DimsatParallel(ds, root, options, options.num_threads);
 }
 
 DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
                                        CategoryId root,
                                        DimsatOptions options) {
   options.enumerate_all = true;
-  return RunDimsat(ds, root, options);
+  return Dimsat(ds, root, options);
 }
 
 }  // namespace olapdc

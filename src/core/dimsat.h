@@ -92,8 +92,12 @@ struct DimsatOptions {
   /// load); the amortization that keeps the budget check off the hot
   /// path.
   uint32_t budget_check_stride = 256;
-  /// Worker parallelism for callers that dispatch through RunDimsat():
-  /// <= 1 runs the sequential engine, > 1 the work-stealing driver.
+  /// Worker parallelism of Dimsat(): <= 1 runs the sequential engine,
+  /// > 1 the work-stealing driver unless a trace or a checkpoint is
+  /// requested. The run executes on `pool` if set (its size then
+  /// bounds the parallelism); otherwise on the shared process pool, or
+  /// on a run-local pool of num_threads workers when the process pool
+  /// is smaller — an explicit num_threads is never silently degraded.
   int num_threads = 1;
   /// Work-stealing driver: EXPAND nodes at recursion depth below this
   /// become stealable pool tasks; at or beyond it the search recurses
@@ -109,17 +113,16 @@ struct DimsatOptions {
   /// or the expand-call cap), the live search frontier is captured here
   /// so ResumeDimsat() can continue the search instead of restarting
   /// it. Cleared at the start of each run; forces the sequential engine
-  /// (RunDimsat() dispatches accordingly — frontier capture is
-  /// inherently a property of one depth-first traversal). The
-  /// interrupted and resumed runs partition the search tree, so their
-  /// combined verdict, frozen set, and statistics equal an
-  /// uninterrupted run's.
+  /// (frontier capture is inherently a property of one depth-first
+  /// traversal). The interrupted and resumed runs partition the search
+  /// tree, so their combined verdict, frozen set, and statistics equal
+  /// an uninterrupted run's.
   DimsatCheckpoint* checkpoint = nullptr;
-  /// Overload shedding for the parallel driver: when non-null,
-  /// DimsatParallel() asks the gate *before doing any work* and returns
-  /// kUnavailable (no partial result; retry-after-ms hint in the
-  /// message) when shed. Ignored by the sequential engine, which holds
-  /// no pool resources.
+  /// Overload shedding for the parallel driver: when non-null, a
+  /// Dimsat() run that goes parallel asks the gate *before doing any
+  /// work* and returns kUnavailable (no partial result; retry-after-ms
+  /// hint in the message) when shed. Ignored by the sequential engine,
+  /// which holds no pool resources.
   exec::AdmissionGate* admission = nullptr;
   /// Learned-pruning store (core/nogood.h); not owned, may be shared
   /// across runs and threads. Null (the default) disables the feature
@@ -180,7 +183,7 @@ void AccumulateStats(DimsatStats* total, const DimsatStats& delta);
 /// Publishes one finished run's statistics into the global metrics
 /// registry under `olapdc.dimsat.*` (docs/observability.md has the
 /// inventory) and records the run latency. No-op when metrics are
-/// disabled. Called once per Dimsat()/DimsatParallel() run — batching
+/// disabled. Called once per Dimsat()/ResumeDimsat() run — batching
 /// the flush here keeps the EXPAND hot loop free of registry traffic.
 void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
                         double elapsed_us);
@@ -211,6 +214,14 @@ struct DimsatResult {
 };
 
 /// Decides whether `root` is satisfiable in `ds` (Theorem 3 / Figure 6).
+/// With options.num_threads > 1 (and no trace or checkpoint requested)
+/// the search runs on the work-stealing pool: semantically identical
+/// to the sequential engine (the frozen-dimension *set* is equal;
+/// enumeration order may differ, and in decision mode a different —
+/// equally valid — witness may be returned). A shared stop flag
+/// propagates the first witness in decision mode and the first budget
+/// stop in every mode, so a cancelled Budget stops all workers
+/// promptly, and max_expand_calls bounds the whole run.
 DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
                     const DimsatOptions& options = {});
 
@@ -218,33 +229,6 @@ DimsatResult Dimsat(const DimensionSchema& ds, CategoryId root,
 DimsatResult EnumerateFrozenDimensions(const DimensionSchema& ds,
                                        CategoryId root,
                                        DimsatOptions options = {});
-
-/// Multi-threaded DIMSAT on the work-stealing pool: EXPAND nodes above
-/// options.parallel_split_depth become stealable tasks, so skewed
-/// subtrees rebalance dynamically instead of serializing on whichever
-/// worker drew them. Semantically identical to Dimsat() (the
-/// frozen-dimension *set* is equal; enumeration order may differ, and
-/// in decision mode a different — equally valid — witness may be
-/// returned). The shared stop flag propagates the first witness in
-/// decision mode and the first budget expiry in every mode, so a
-/// cancelled Budget stops all workers promptly. Tracing is unsupported.
-/// num_threads <= 1 falls back to the sequential search. Otherwise the
-/// run executes on options.pool if set (its size then bounds the
-/// parallelism); with no pool override it uses the shared process
-/// pool, or a run-local pool of num_threads workers when the process
-/// pool is smaller — an explicit num_threads is honored, never
-/// silently degraded.
-DimsatResult DimsatParallel(const DimensionSchema& ds, CategoryId root,
-                            const DimsatOptions& options, int num_threads);
-
-/// The pre-work-stealing parallel driver, kept as the comparison
-/// baseline for the scheduling benchmarks: the first-level expansion
-/// choices of the root statically partition the search space over
-/// `num_threads` fresh threads, so speedup is bounded by the skew of
-/// first-level subtree sizes. Same semantics as DimsatParallel().
-DimsatResult DimsatParallelStatic(const DimensionSchema& ds, CategoryId root,
-                                  const DimsatOptions& options,
-                                  int num_threads);
 
 /// Continues an interrupted search from `checkpoint` (captured by a
 /// previous run through DimsatOptions::checkpoint). Runs sequentially,
@@ -264,13 +248,13 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
                           const DimsatOptions& options,
                           DimsatCheckpoint checkpoint);
 
-/// Dispatch helper used by every higher layer (implication,
-/// summarizability, Reasoner, CLI): runs Dimsat() when
-/// options.num_threads <= 1, a trace is requested, or a checkpoint
-/// capture is requested, else DimsatParallel() with
-/// options.num_threads.
-DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
-                       const DimsatOptions& options = {});
+/// Former name of Dimsat(). Only perfbench/replay.cc still calls it:
+/// the benchmark's sources stay fixed so that its runs compare across
+/// commits.
+inline DimsatResult RunDimsat(const DimensionSchema& ds, CategoryId root,
+                              const DimsatOptions& options = {}) {
+  return Dimsat(ds, root, options);
+}
 
 }  // namespace olapdc
 

@@ -20,7 +20,7 @@ Result<ImplicationResult> Implies(const DimensionSchema& ds,
                               alpha.label.empty() ? "" : "!" + alpha.label};
   DimensionSchema extended = ds.WithExtraConstraint(std::move(negated));
 
-  DimsatResult search = RunDimsat(extended, alpha.root, options);
+  DimsatResult search = Dimsat(extended, alpha.root, options);
 
   ImplicationResult result;
   result.stats = search.stats;
@@ -53,7 +53,7 @@ Result<ImplicationResult> Implies(const DimensionSchema& ds,
 Result<bool> IsCategorySatisfiable(const DimensionSchema& ds,
                                    CategoryId category,
                                    const DimsatOptions& options) {
-  DimsatResult search = RunDimsat(ds, category, options);
+  DimsatResult search = Dimsat(ds, category, options);
   // A witness makes "satisfiable" definitive even if a budget expired
   // while winding down; only a budget-truncated *negative* is unknown.
   if (search.satisfiable) return true;

@@ -245,10 +245,10 @@ ReasonerAnswer Reasoner::QuerySatisfiable(CategoryId category,
         resume->frames.clear();
         r = ResumeDimsat(schema_, category, opts, std::move(from));
       } else {
-        r = RunDimsat(schema_, category, opts);
+        r = Dimsat(schema_, category, opts);
       }
     } else {
-      r = RunDimsat(schema_, category, options);
+      r = Dimsat(schema_, category, options);
     }
     a.stats = r.stats;
     // A witness is definitive regardless of an expiring budget; a

@@ -57,10 +57,14 @@ Result<std::string> HeterogeneityReport(const DimensionSchema& ds,
     out += "  " + ConstraintToString(schema, c) + "\n";
   }
 
+  // The report lists frozen dimensions in enumeration order, which only
+  // the sequential engine fixes: pin it whatever num_threads says.
+  DimsatOptions sequential = options.dimsat;
+  sequential.num_threads = 1;
   out += "\n== satisfiability ==\n";
   std::vector<bool> satisfiable(schema.num_categories());
   for (CategoryId c = 0; c < schema.num_categories(); ++c) {
-    DimsatResult r = Dimsat(ds, c, options.dimsat);
+    DimsatResult r = Dimsat(ds, c, sequential);
     OLAPDC_RETURN_NOT_OK(r.status);
     satisfiable[c] = r.satisfiable;
     if (!r.satisfiable) {
@@ -75,7 +79,7 @@ Result<std::string> HeterogeneityReport(const DimensionSchema& ds,
   out += "\n== frozen dimensions (the homogeneous worlds mixed) ==\n";
   for (CategoryId b : schema.bottom_categories()) {
     if (b == schema.all() || !satisfiable[b]) continue;
-    DimsatOptions enumerate = options.dimsat;
+    DimsatOptions enumerate = sequential;
     enumerate.enumerate_all = true;
     enumerate.max_frozen = options.max_frozen_per_bottom;
     DimsatResult r = Dimsat(ds, b, enumerate);
@@ -135,6 +139,7 @@ Result<bool> IsHomogeneousSchema(const DimensionSchema& ds,
     if (b == schema.all()) continue;
     DimsatOptions enumerate = options;
     enumerate.enumerate_all = true;
+    enumerate.num_threads = 1;  // which models a max_frozen cap keeps
     DimsatResult r = Dimsat(ds, b, enumerate);
     OLAPDC_RETURN_NOT_OK(r.status);
     if (r.frozen.empty()) continue;  // unsatisfiable: vacuously uniform

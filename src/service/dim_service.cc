@@ -334,7 +334,7 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
     result = ResumeDimsat(*ctx->schema, *root, dopt, std::move(*parsed));
   } else {
     if (ctx->threads <= 1) dopt.checkpoint = &captured;
-    result = RunDimsat(*ctx->schema, *root, dopt);
+    result = Dimsat(*ctx->schema, *root, dopt);
   }
 
   std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +

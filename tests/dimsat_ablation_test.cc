@@ -231,8 +231,9 @@ TEST(DecomposeParallelTest, ParallelDecomposedMatchesSequential) {
       const DimsatResult sequential = Dimsat(ds, base, options);
       ASSERT_OK(sequential.status);
       for (int threads : {2, 4}) {
-        const DimsatResult parallel =
-            DimsatParallel(ds, base, options, threads);
+        DimsatOptions parallel_options = options;
+        parallel_options.num_threads = threads;
+        const DimsatResult parallel = Dimsat(ds, base, parallel_options);
         ASSERT_OK(parallel.status);
         EXPECT_EQ(parallel.satisfiable, sequential.satisfiable)
             << "seed " << seed << " threads " << threads;

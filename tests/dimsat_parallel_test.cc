@@ -1,6 +1,9 @@
-// Tests for the parallel DIMSAT driver: semantic equivalence with the
-// sequential search across thread counts, workloads, and modes, plus
-// prompt propagation of Budget cancellation to every worker.
+// Tests for parallel DIMSAT (Dimsat() with options.num_threads > 1):
+// semantic equivalence with the sequential search across thread
+// counts, workloads, and modes, prompt propagation of Budget
+// cancellation to every worker, a run-wide max_expand_calls cap, and
+// the rule that sends trace and checkpoint runs to the sequential
+// engine.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +35,23 @@ std::vector<std::string> Canonical(const std::vector<FrozenDimension>& fs,
   return out;
 }
 
+DimsatResult Parallel(const DimensionSchema& ds, CategoryId root,
+                      DimsatOptions options, int threads) {
+  options.num_threads = threads;
+  return Dimsat(ds, root, options);
+}
+
+DimensionSchema MultiComponentSchema(int seed) {
+  MultiComponentGenOptions options;
+  options.num_components = 3;
+  options.levels_per_component = 2;
+  options.categories_per_level = 3;
+  options.seed = static_cast<uint64_t>(seed) * 613 + 7;
+  auto ds = GenerateMultiComponentSchema(options);
+  OLAPDC_CHECK(ds.ok()) << ds.status().ToString();
+  return *std::move(ds);
+}
+
 TEST(ParallelDimsatTest, LocationEnumerationMatchesSequential) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
   CategoryId store = ds.hierarchy().FindCategory("Store");
@@ -39,7 +59,7 @@ TEST(ParallelDimsatTest, LocationEnumerationMatchesSequential) {
   options.enumerate_all = true;
   DimsatResult sequential = Dimsat(ds, store, options);
   for (int threads : {1, 2, 4, 8}) {
-    DimsatResult parallel = DimsatParallel(ds, store, options, threads);
+    DimsatResult parallel = Parallel(ds, store, options, threads);
     ASSERT_OK(parallel.status);
     EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
               Canonical(sequential.frozen, ds.hierarchy()))
@@ -55,7 +75,7 @@ TEST(ParallelDimsatTest, ExplicitPoolIsUsed) {
   options.enumerate_all = true;
   options.pool = &pool;
   DimsatResult sequential = Dimsat(ds, store, options);
-  DimsatResult parallel = DimsatParallel(ds, store, options, 3);
+  DimsatResult parallel = Parallel(ds, store, options, 3);
   ASSERT_OK(parallel.status);
   EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
             Canonical(sequential.frozen, ds.hierarchy()));
@@ -67,7 +87,7 @@ TEST(ParallelDimsatTest, ExplicitPoolIsUsed) {
 TEST(ParallelDimsatTest, DecisionModeFindsAWitness) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
   CategoryId store = ds.hierarchy().FindCategory("Store");
-  DimsatResult r = DimsatParallel(ds, store, {}, 4);
+  DimsatResult r = Parallel(ds, store, {}, 4);
   ASSERT_OK(r.status);
   EXPECT_TRUE(r.satisfiable);
   ASSERT_FALSE(r.frozen.empty());
@@ -81,7 +101,7 @@ TEST(ParallelDimsatTest, UnsatisfiableStaysUnsatisfiable) {
       testing_util::ParseC(ds.hierarchy(), "!SaleRegion/Country"));
   CategoryId store = ds.hierarchy().FindCategory("Store");
   for (int threads : {2, 4}) {
-    DimsatResult r = DimsatParallel(extended, store, {}, threads);
+    DimsatResult r = Parallel(extended, store, {}, threads);
     ASSERT_OK(r.status);
     EXPECT_FALSE(r.satisfiable);
   }
@@ -89,23 +109,8 @@ TEST(ParallelDimsatTest, UnsatisfiableStaysUnsatisfiable) {
 
 TEST(ParallelDimsatTest, AllRootFallsBackToSequential) {
   ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  DimsatResult r = DimsatParallel(ds, ds.hierarchy().all(), {}, 4);
+  DimsatResult r = Parallel(ds, ds.hierarchy().all(), {}, 4);
   EXPECT_TRUE(r.satisfiable);
-}
-
-TEST(ParallelDimsatTest, StaticPartitionMatchesSequential) {
-  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
-  CategoryId store = ds.hierarchy().FindCategory("Store");
-  DimsatOptions options;
-  options.enumerate_all = true;
-  DimsatResult sequential = Dimsat(ds, store, options);
-  for (int threads : {2, 4}) {
-    DimsatResult parallel = DimsatParallelStatic(ds, store, options, threads);
-    ASSERT_OK(parallel.status);
-    EXPECT_EQ(Canonical(parallel.frozen, ds.hierarchy()),
-              Canonical(sequential.frozen, ds.hierarchy()))
-        << threads << " threads (static partition)";
-  }
 }
 
 // A cancelled Budget must stop every worker promptly: cancellation is
@@ -140,7 +145,7 @@ TEST(ParallelDimsatTest, CancelStopsAllWorkersPromptly) {
   options.budget = &budget;
 
   DimsatResult result;
-  std::thread runner([&] { result = DimsatParallel(ds, base, options, 4); });
+  std::thread runner([&] { result = Parallel(ds, base, options, 4); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const auto cancel_time = std::chrono::steady_clock::now();
   source.RequestCancel();
@@ -182,17 +187,95 @@ TEST_P(ParallelRandomTest, MatchesSequentialOnRandomSchemas) {
   options.enumerate_all = true;
   DimsatResult sequential = Dimsat(*ds, base, options);
   ASSERT_OK(sequential.status);
-  DimsatResult parallel = DimsatParallel(*ds, base, options, 4);
+  DimsatResult parallel = Parallel(*ds, base, options, 4);
   ASSERT_OK(parallel.status);
   EXPECT_EQ(Canonical(parallel.frozen, ds->hierarchy()),
             Canonical(sequential.frozen, ds->hierarchy()))
       << "seed " << seed;
   // Decision mode agrees on satisfiability.
-  DimsatResult decision = DimsatParallel(*ds, base, {}, 4);
+  DimsatResult decision = Parallel(*ds, base, {}, 4);
   EXPECT_EQ(decision.satisfiable, sequential.satisfiable);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelRandomTest, ::testing::Range(0, 24));
+
+// max_expand_calls caps the whole parallel run, not each task or
+// component: with the cap at two thirds of the uncapped EXPAND count,
+// the run must stop with kResourceExhausted having done at most the
+// cap, for both the decomposed and the monolithic driver.
+TEST(ParallelDimsatTest, ExpandCapBoundsTheWholeRun) {
+  for (bool decompose : {true, false}) {
+    for (int seed = 1; seed <= 4; ++seed) {
+      const DimensionSchema ds = MultiComponentSchema(seed);
+      const CategoryId base = ds.hierarchy().FindCategory("Base");
+      DimsatOptions options;
+      options.enumerate_all = true;
+      options.decompose = decompose;
+      const DimsatResult uncapped = Dimsat(ds, base, options);
+      ASSERT_OK(uncapped.status);
+      options.max_expand_calls = uncapped.stats.expand_calls * 2 / 3;
+      for (int threads : {1, 4}) {
+        const DimsatResult capped = Parallel(ds, base, options, threads);
+        EXPECT_EQ(capped.status.code(), StatusCode::kResourceExhausted)
+            << "decompose " << decompose << " seed " << seed << " threads "
+            << threads << ": " << capped.stats.expand_calls
+            << " EXPANDs against a cap of " << options.max_expand_calls;
+        EXPECT_LE(capped.stats.expand_calls, options.max_expand_calls);
+      }
+    }
+  }
+}
+
+// Trace collection is a property of one depth-first traversal, so a
+// trace-collecting run takes the sequential engine whatever
+// num_threads says, and returns the sequential trace.
+TEST(ParallelDimsatTest, TraceRunsSequentially) {
+  ASSERT_OK_AND_ASSIGN(DimensionSchema ds, LocationSchema());
+  CategoryId store = ds.hierarchy().FindCategory("Store");
+  DimsatOptions options;
+  options.collect_trace = true;
+  const DimsatResult sequential = Dimsat(ds, store, options);
+  const DimsatResult threaded = Parallel(ds, store, options, 4);
+  ASSERT_FALSE(sequential.trace.empty());
+  ASSERT_EQ(threaded.trace.size(), sequential.trace.size());
+  for (size_t i = 0; i < sequential.trace.size(); ++i) {
+    EXPECT_EQ(threaded.trace[i].ToString(ds.hierarchy()),
+              sequential.trace[i].ToString(ds.hierarchy()))
+        << "event " << i;
+  }
+  EXPECT_EQ(threaded.stats.parallel_tasks, 0u);
+}
+
+// A checkpoint request also takes the sequential engine: the capped
+// run leaves a checkpoint whose resume completes the enumeration.
+TEST(ParallelDimsatTest, CheckpointRunsSequentiallyAndResumes) {
+  const DimensionSchema ds = MultiComponentSchema(2);
+  const CategoryId base = ds.hierarchy().FindCategory("Base");
+  DimsatOptions options;
+  options.enumerate_all = true;
+  const DimsatResult truth = Dimsat(ds, base, options);
+  ASSERT_OK(truth.status);
+
+  DimsatCheckpoint checkpoint;
+  options.checkpoint = &checkpoint;
+  options.max_expand_calls = truth.stats.expand_calls / 2;
+  const DimsatResult first = Parallel(ds, base, options, 4);
+  ASSERT_EQ(first.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(first.stats.parallel_tasks, 0u);
+  ASSERT_FALSE(checkpoint.empty());
+
+  DimsatOptions resume_options;
+  resume_options.enumerate_all = true;
+  const DimsatResult rest =
+      ResumeDimsat(ds, base, resume_options, std::move(checkpoint));
+  ASSERT_OK(rest.status);
+  std::vector<FrozenDimension> combined = first.frozen;
+  combined.insert(combined.end(), rest.frozen.begin(), rest.frozen.end());
+  EXPECT_EQ(Canonical(combined, ds.hierarchy()),
+            Canonical(truth.frozen, ds.hierarchy()));
+  EXPECT_EQ(first.stats.expand_calls + rest.stats.expand_calls,
+            truth.stats.expand_calls);
+}
 
 }  // namespace
 }  // namespace olapdc

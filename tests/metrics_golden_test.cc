@@ -103,7 +103,8 @@ TEST_F(MetricsGoldenTest, ParallelDimsatAndExecCountersFlow) {
   DimsatOptions options;
   options.enumerate_all = true;
   options.pool = &pool;
-  DimsatResult r = DimsatParallel(*ds_, store_, options, 3);
+  options.num_threads = 3;
+  DimsatResult r = Dimsat(*ds_, store_, options);
   ASSERT_OK(r.status);
   ASSERT_EQ(r.frozen.size(), 4u);
 
@@ -207,11 +208,12 @@ TEST_F(MetricsGoldenTest, AdmissionCountersMatchGateState) {
   options.enumerate_all = true;
   options.pool = &pool;
   options.admission = &gate;
+  options.num_threads = 2;
 
-  DimsatResult admitted = DimsatParallel(*ds_, store_, options, 2);
+  DimsatResult admitted = Dimsat(*ds_, store_, options);
   ASSERT_OK(admitted.status);
   ASSERT_OK(gate.TryAdmit());  // saturate by hand
-  DimsatResult shed = DimsatParallel(*ds_, store_, options, 2);
+  DimsatResult shed = Dimsat(*ds_, store_, options);
   ASSERT_EQ(shed.status.code(), StatusCode::kUnavailable);
   gate.Release();
 

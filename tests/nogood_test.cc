@@ -119,14 +119,14 @@ TEST(NoGoodDimsatTest, WarmEnumerationPrunesAndMatchesColdExactly) {
     if (c == ds.hierarchy().all()) continue;
     DimsatOptions plain;
     plain.enumerate_all = true;
-    const DimsatResult cold = RunDimsat(ds, c, plain);
+    const DimsatResult cold = Dimsat(ds, c, plain);
     ASSERT_TRUE(cold.status.ok());
     cold_expands += cold.stats.expand_calls;
 
     DimsatOptions learned = plain;
     learned.nogoods = &store;
-    const DimsatResult fill = RunDimsat(ds, c, learned);
-    const DimsatResult warm = RunDimsat(ds, c, learned);
+    const DimsatResult fill = Dimsat(ds, c, learned);
+    const DimsatResult warm = Dimsat(ds, c, learned);
     warm_expands += warm.stats.expand_calls;
     prunes += warm.stats.nogood_prunes;
 
@@ -152,12 +152,12 @@ TEST(NoGoodDimsatTest, CachedVsColdSetEqualityOver24Seeds) {
       if (c == ds.hierarchy().all()) continue;
       DimsatOptions plain;
       plain.enumerate_all = true;
-      const DimsatResult cold = RunDimsat(ds, c, plain);
+      const DimsatResult cold = Dimsat(ds, c, plain);
       ASSERT_TRUE(cold.status.ok()) << "seed " << seed;
 
       DimsatOptions learned = plain;
       learned.nogoods = &store;
-      const DimsatResult cached = RunDimsat(ds, c, learned);
+      const DimsatResult cached = Dimsat(ds, c, learned);
       ASSERT_TRUE(cached.status.ok()) << "seed " << seed;
       EXPECT_EQ(Canonical(cached.frozen, ds.hierarchy()),
                 Canonical(cold.frozen, ds.hierarchy()))
@@ -167,7 +167,7 @@ TEST(NoGoodDimsatTest, CachedVsColdSetEqualityOver24Seeds) {
       // even though the store was learned under enumeration.
       DimsatOptions witness;
       witness.nogoods = &store;
-      const DimsatResult quick = RunDimsat(ds, c, witness);
+      const DimsatResult quick = Dimsat(ds, c, witness);
       ASSERT_TRUE(quick.status.ok()) << "seed " << seed;
       EXPECT_EQ(quick.satisfiable, cold.satisfiable)
           << "seed " << seed << " category " << c;
@@ -185,14 +185,14 @@ TEST(NoGoodDimsatTest, TheorySaltKeepsForeignLemmasInvisible) {
     learned.enumerate_all = true;
     learned.nogoods = &store;
     learned.nogood_salt = 1;
-    RunDimsat(ds, c, learned);  // fill under theory salt 1
+    Dimsat(ds, c, learned);  // fill under theory salt 1
 
     // Probing under a different salt sees nothing — lemmas learned
     // against one effective theory never leak into another.
     DimsatOptions other = learned;
     other.nogood_salt = 2;
-    salted_prunes += RunDimsat(ds, c, other).stats.nogood_prunes;
-    resalted_prunes += RunDimsat(ds, c, learned).stats.nogood_prunes;
+    salted_prunes += Dimsat(ds, c, other).stats.nogood_prunes;
+    resalted_prunes += Dimsat(ds, c, learned).stats.nogood_prunes;
   }
   EXPECT_EQ(salted_prunes, 0u);
   EXPECT_GT(resalted_prunes, 0u);
@@ -209,7 +209,7 @@ TEST(NoGoodDimsatTest, FaultsMidFillNeverCorruptLaterAnswers) {
     if (c == ds.hierarchy().all()) continue;
     DimsatOptions plain;
     plain.enumerate_all = true;
-    truth.push_back(Canonical(RunDimsat(ds, c, plain).frozen,
+    truth.push_back(Canonical(Dimsat(ds, c, plain).frozen,
                               ds.hierarchy()));
   }
 
@@ -228,7 +228,7 @@ TEST(NoGoodDimsatTest, FaultsMidFillNeverCorruptLaterAnswers) {
         DimsatOptions learned;
         learned.enumerate_all = true;
         learned.nogoods = &store;
-        RunDimsat(ds, c, learned);  // outcome irrelevant; store is not
+        Dimsat(ds, c, learned);  // outcome irrelevant; store is not
       }
     }
     EXPECT_GE(FaultInjector::Global().failures("dimsat.expand"), 1u);
@@ -242,7 +242,7 @@ TEST(NoGoodDimsatTest, FaultsMidFillNeverCorruptLaterAnswers) {
     DimsatOptions learned;
     learned.enumerate_all = true;
     learned.nogoods = &store;
-    const DimsatResult warm = RunDimsat(ds, c, learned);
+    const DimsatResult warm = Dimsat(ds, c, learned);
     ASSERT_TRUE(warm.status.ok());
     EXPECT_EQ(Canonical(warm.frozen, ds.hierarchy()), truth[i])
         << "category " << c << " diverged after chaos fill";

@@ -7,6 +7,7 @@
 #include "core/location_example.h"
 #include "core/report.h"
 #include "tests/test_util.h"
+#include "workload/schema_generator.h"
 
 namespace olapdc {
 namespace {
@@ -27,6 +28,26 @@ TEST(ReportTest, LocationReportMentionsEverything) {
   EXPECT_NE(report.find("all categories satisfiable"), std::string::npos);
   EXPECT_NE(report.find("Washington"), std::string::npos);
   EXPECT_NE(report.find("City->Country"), std::string::npos);  // shortcut
+}
+
+// The report lists frozen dimensions in the sequential enumeration
+// order, so a thread count must not change a byte of it.
+TEST(ReportTest, ThreadCountDoesNotChangeTheReport) {
+  ASSERT_OK_AND_ASSIGN(DimensionSchema location, LocationSchema());
+  MultiComponentGenOptions generated_options;
+  generated_options.seed = 620;
+  ASSERT_OK_AND_ASSIGN(DimensionSchema generated,
+                       GenerateMultiComponentSchema(generated_options));
+  for (const DimensionSchema* ds : {&location, &generated}) {
+    ReportOptions options;
+    options.max_frozen_per_bottom = 1000;
+    ASSERT_OK_AND_ASSIGN(std::string sequential,
+                         HeterogeneityReport(*ds, options));
+    options.dimsat.num_threads = 4;
+    ASSERT_OK_AND_ASSIGN(std::string threaded,
+                         HeterogeneityReport(*ds, options));
+    EXPECT_EQ(threaded, sequential);
+  }
 }
 
 TEST(ReportTest, UnsatisfiableCategoryCalledOut) {

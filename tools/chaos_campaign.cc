@@ -237,7 +237,7 @@ RunOutcome RunParallelAdmitted(const Workload& w, DimsatOptions options,
   options.num_threads = pool->num_threads();
   options.pool = pool;
   options.admission = gate;
-  DimsatResult r = DimsatParallel(w.ds, w.root, options, pool->num_threads());
+  DimsatResult r = Dimsat(w.ds, w.root, options);
   out.status = r.status;
   out.reported_satisfiable = r.satisfiable;
   for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
@@ -261,8 +261,8 @@ RunOutcome RunReasonerLadder(const Workload& w, const DimsatOptions& base,
   return out;
 }
 
-/// Nested parallel request: a pool task that itself runs DimsatParallel
-/// on the same pool (the shape of a parallel summarizability sweep,
+/// Nested parallel request: a pool task that itself runs a parallel
+/// Dimsat() on the same pool (the shape of a parallel summarizability sweep,
 /// where per-bottom tasks fan out further). The inner search's
 /// TaskGroup::Wait then runs on a pool *worker*, driving the
 /// worker-thread helping path — the exec.group_wait site.
@@ -274,8 +274,7 @@ RunOutcome RunNestedParallel(const Workload& w, DimsatOptions options,
   {
     exec::TaskGroup group(pool);
     group.Spawn([&] {
-      DimsatResult r =
-          DimsatParallel(w.ds, w.root, options, options.num_threads);
+      DimsatResult r = Dimsat(w.ds, w.root, options);
       out.status = std::move(r.status);
       out.reported_satisfiable = r.satisfiable;
       for (FrozenDimension& f : r.frozen) out.frozen.push_back(std::move(f));
