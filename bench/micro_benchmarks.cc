@@ -1,13 +1,14 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
 // simple-path enumeration (composed-atom expansion), the circle
-// operator, c-assignment search, full DIMSAT runs, instance ancestor
-// tables, and cube-view computation.
+// operator, CHECK, c-assignment search, full DIMSAT runs, instance
+// ancestor tables, and cube-view computation.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "constraint/normalize.h"
 #include "core/assignment.h"
+#include "core/check_subhierarchy.h"
 #include "core/circle.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
@@ -60,7 +61,6 @@ void BM_CircleOperator(benchmark::State& state) {
        {schema.FindCategory("Province"), schema.FindCategory("SaleRegion")},
        {schema.FindCategory("SaleRegion"), schema.FindCategory("Country")},
        {schema.FindCategory("Country"), schema.all()}});
-  auto reach = g->ComputeReach();
   std::vector<DimensionConstraint> expanded;
   for (const DimensionConstraint& c : ds.constraints()) {
     expanded.push_back(DimensionConstraint{
@@ -68,12 +68,76 @@ void BM_CircleOperator(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const DimensionConstraint& c : expanded) {
-      ExprPtr circled = Simplify(ApplyCircleToConstraint(c, *g, reach));
+      ExprPtr circled = Simplify(ApplyCircleToConstraint(c, *g));
       benchmark::DoNotOptimize(circled);
     }
   }
 }
 BENCHMARK(BM_CircleOperator);
+
+// One CHECK on a location subhierarchy rooted at Store, against
+// Sigma(locationSch, Store) prepared as DIMSAT prepares it:
+//   0: the Example 12 mixed structure — every constraint folds to True
+//      or stays open, so the assignment search runs and fails;
+//   1: Store -> City -> State -> Country, no SaleRegion — rejected by
+//      the circle verdict (Store.SaleRegion folds to False) with no
+//      allocation;
+//   2: City -> {State, Country}, State -> Country — rejected by the
+//      structural test (a shortcut), also without allocating;
+//   3: the Canada structure — the assignment search runs and succeeds.
+void BM_CheckSubhierarchy(benchmark::State& state) {
+  const DimensionSchema& ds = Location();
+  const HierarchySchema& schema = ds.hierarchy();
+  const CategoryId store = schema.FindCategory("Store");
+  const CategoryId city = schema.FindCategory("City");
+  const CategoryId province = schema.FindCategory("Province");
+  const CategoryId st = schema.FindCategory("State");
+  const CategoryId region = schema.FindCategory("SaleRegion");
+  const CategoryId country = schema.FindCategory("Country");
+  const CategoryId all = schema.all();
+  std::vector<std::pair<CategoryId, CategoryId>> edges;
+  switch (state.range(0)) {
+    case 0:
+      edges = {{store, city},
+               {city, province},
+               {city, st},
+               {province, region},
+               {st, country},
+               {region, country},
+               {country, all}};
+      break;
+    case 1:
+      edges = {{store, city}, {city, st}, {st, country}, {country, all}};
+      break;
+    case 2:
+      edges = {{store, city},
+               {city, st},
+               {city, country},
+               {st, country},
+               {country, all}};
+      break;
+    default:
+      edges = {{store, city},
+               {city, province},
+               {province, region},
+               {region, country},
+               {country, all}};
+      break;
+  }
+  auto g = Subhierarchy::FromEdges(schema.num_categories(), store, all,
+                                   edges);
+  std::vector<DimensionConstraint> relevant;
+  for (const DimensionConstraint* c : ds.RelevantConstraints(store)) {
+    relevant.push_back(DimensionConstraint{
+        c->root, Simplify(Unwrap(ExpandShorthands(schema, c->expr))),
+        c->label});
+  }
+  for (auto _ : state) {
+    CheckOutcome outcome = CheckSubhierarchy(relevant, *g);
+    benchmark::DoNotOptimize(outcome);
+  }
+}
+BENCHMARK(BM_CheckSubhierarchy)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_SubhierarchyExpandCopy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

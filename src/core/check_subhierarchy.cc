@@ -12,26 +12,35 @@ CheckOutcome CheckSubhierarchy(std::span<const DimensionConstraint> relevant,
                                const CheckOptions& options) {
   CheckOutcome outcome;
 
-  // One reachability closure serves all three phases of the check:
-  // cycle detection, shortcut detection, and the circle operator.
-  const std::vector<DynamicBitset> reach = g.ComputeReach();
-
-  // Proposition 2, condition (a).
-  if (g.HasCycleIn(reach) || g.HasShortcut(reach)) {
+  // Proposition 2, condition (a), read off g's exact Below sets.
+  if (g.HasCycleIn() || g.HasShortcut()) {
     outcome.structurally_rejected = true;
     return outcome;
   }
 
-  // Sigma(ds, c) ∘ g, simplified. A literal False means no assignment
-  // can help; vacuous (root outside g) constraints simplify to True and
-  // are dropped.
-  std::vector<ExprPtr> circled;
-  circled.reserve(relevant.size());
+  // Sigma(ds, c) ∘ g, decided three-valued first: a constraint that
+  // folds to False means no assignment can help, and one that folds to
+  // True (vacuous ones, whose root is outside g, included) is dropped.
+  // Most candidates are settled here without building any expression.
+  bool open = false;
   for (const DimensionConstraint& c : relevant) {
-    ExprPtr e = Simplify(ApplyCircleToConstraint(c, g, reach));
-    if (IsTrueLiteral(e)) continue;
-    if (IsFalseLiteral(e)) return outcome;  // no frozen dimension
-    circled.push_back(std::move(e));
+    const CircleTruth t = CircleTruthOf(c, g);
+    if (t == CircleTruth::kFalse) {
+      outcome.circle_rejected = true;
+      return outcome;  // no frozen dimension
+    }
+    open |= (t == CircleTruth::kOpen);
+  }
+
+  // Only the open constraints are circled and simplified, in Sigma
+  // order, for the c-assignment search.
+  std::vector<ExprPtr> circled;
+  if (open) {
+    for (const DimensionConstraint& c : relevant) {
+      if (CircleTruthOf(c, g) != CircleTruth::kOpen) continue;
+      circled.push_back(Simplify(ApplyCircleToConstraint(c, g)));
+      OLAPDC_DCHECK(!circled.back()->IsLiteralTruth());
+    }
   }
 
   AssignmentSearchResult search =

@@ -35,15 +35,22 @@ struct CheckOutcome {
   std::vector<FrozenDimension> frozen;
   /// True when g failed the structural test (cycle or shortcut).
   bool structurally_rejected = false;
+  /// True when g passed it but some circled constraint folded to False,
+  /// so no c-assignment search ran.
+  bool circle_rejected = false;
   /// c-assignment candidates explored.
   uint64_t assignments_tried = 0;
 };
 
 /// Runs CHECK(g). `relevant` must be Sigma(ds, root) with
-/// composed/through shorthands already expanded (see dimsat.cc's
-/// PrepareRelevantConstraints) — or, for a component search of a
-/// decomposed run, the component's share of it; `g` must contain the
-/// root.
+/// composed/through shorthands already expanded (see DimsatRun::Prepare
+/// in dimsat.cc) — or, for a component search of a decomposed run, the
+/// component's share of it; `g` must contain the root.
+///
+/// The structural test and the three-valued circle verdict
+/// (CircleTruthOf) allocate nothing, so a g rejected by either costs no
+/// allocation; circled expression trees are built only for the
+/// constraints left open, and only when the assignment search runs.
 CheckOutcome CheckSubhierarchy(std::span<const DimensionConstraint> relevant,
                                const Subhierarchy& g,
                                const CheckOptions& options = {});

@@ -36,6 +36,7 @@ void AccumulateStats(DimsatStats* total, const DimsatStats& delta) {
   total->expand_calls += delta.expand_calls;
   total->check_calls += delta.check_calls;
   total->structural_rejections += delta.structural_rejections;
+  total->circle_rejections += delta.circle_rejections;
   total->assignments_tried += delta.assignments_tried;
   total->into_prunes += delta.into_prunes;
   total->shortcut_prunes += delta.shortcut_prunes;
@@ -57,6 +58,7 @@ void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
   obs::Count("olapdc.dimsat.check_calls", stats.check_calls);
   obs::Count("olapdc.dimsat.structural_rejections",
              stats.structural_rejections);
+  obs::Count("olapdc.dimsat.circle_rejections", stats.circle_rejections);
   obs::Count("olapdc.dimsat.assignments_tried", stats.assignments_tried);
   obs::Count("olapdc.dimsat.prune.into", stats.into_prunes);
   obs::Count("olapdc.dimsat.prune.shortcut", stats.shortcut_prunes);
@@ -446,6 +448,7 @@ class DimsatSearch {
     if (outcome.structurally_rejected) {
       ++result_.stats.structural_rejections;
     }
+    if (outcome.circle_rejected) ++result_.stats.circle_rejections;
     if (outcome.frozen.empty()) {
       Trace(DimsatTraceEvent::Kind::kCheckFail, g);
       RecordExplain(obs::ExplainEvent::Kind::kCheckFail, depth);

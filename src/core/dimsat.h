@@ -150,6 +150,9 @@ struct DimsatStats {
   uint64_t check_calls = 0;
   /// CHECKs rejected by the structural (cycle/shortcut) validation.
   uint64_t structural_rejections = 0;
+  /// CHECKs whose circled Sigma folded to False, so no c-assignment
+  /// search ran (CheckOutcome::circle_rejected).
+  uint64_t circle_rejections = 0;
   uint64_t assignments_tried = 0;
   /// Branches cut because a blocked into-target made expansion futile.
   uint64_t into_prunes = 0;

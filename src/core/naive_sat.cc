@@ -25,6 +25,8 @@ void FlushNaiveSatMetrics(const DimsatResult& result) {
              result.stats.assignments_tried);
   obs::Count("olapdc.naive_sat.structural_rejections",
              result.stats.structural_rejections);
+  obs::Count("olapdc.naive_sat.circle_rejections",
+             result.stats.circle_rejections);
   obs::Count("olapdc.naive_sat.frozen_found", result.stats.frozen_found);
   obs::Count("olapdc.naive_sat.budget_stops",
              IsBudgetError(result.status) ? 1 : 0);
@@ -101,6 +103,7 @@ Result<DimsatResult> NaiveSat(const DimensionSchema& ds, CategoryId root,
     CheckOutcome outcome = CheckSubhierarchy(relevant, *g, check_options);
     result.stats.assignments_tried += outcome.assignments_tried;
     if (outcome.structurally_rejected) ++result.stats.structural_rejections;
+    if (outcome.circle_rejected) ++result.stats.circle_rejections;
     if (!outcome.frozen.empty()) {
       Status reserve = mem.Reserve(
           static_cast<uint64_t>(outcome.frozen.size()) * frozen_bytes,

@@ -1,9 +1,5 @@
 #include "core/subhierarchy.h"
 
-#include <algorithm>
-
-#include "graph/algorithms.h"
-
 namespace olapdc {
 
 Subhierarchy::Subhierarchy(int num_categories, CategoryId root)
@@ -155,18 +151,6 @@ bool Subhierarchy::IsPath(const std::vector<CategoryId>& path) const {
   return true;
 }
 
-std::vector<DynamicBitset> Subhierarchy::ComputeReach() const {
-  // Reach is the transpose of Below, which every construction path and
-  // every EXPAND step keeps exact (cycles included), plus the category
-  // itself — one pass, no relaxation to a fixpoint.
-  std::vector<DynamicBitset> reach(n_, DynamicBitset(n_));
-  cats_.ForEach([&](int v) {
-    reach[v].set(v);
-    below_of(v).ForEach([&](int u) { reach[u].set(v); });
-  });
-  return reach;
-}
-
 std::vector<std::pair<CategoryId, CategoryId>> Subhierarchy::Edges() const {
   std::vector<std::pair<CategoryId, CategoryId>> edges;
   cats_.ForEach([&](int u) {
@@ -181,36 +165,27 @@ Digraph Subhierarchy::ToDigraph() const {
   return g;
 }
 
-bool Subhierarchy::HasCycleIn() const { return HasCycle(ToDigraph()); }
-
-bool Subhierarchy::HasCycleIn(
-    const std::vector<DynamicBitset>& reach) const {
+bool Subhierarchy::HasCycleIn() const {
   bool found = false;
-  cats_.ForEach([&](int u) {
-    if (found) return;
-    out_of(u).ForEach([&](int v) {
-      if (!found && reach[v].test(u)) found = true;
-    });
-  });
+  cats_.ForEach([&](int u) { found |= below_of(u).test(u); });
   return found;
 }
 
 bool Subhierarchy::HasShortcut() const {
-  return HasShortcut(ComputeReach());
-}
-
-bool Subhierarchy::HasShortcut(
-    const std::vector<DynamicBitset>& reach) const {
   bool found = false;
   cats_.ForEach([&](int u) {
     if (found) return;
     out_of(u).ForEach([&](int v) {
       if (found) return;
       // Edge (u, v) plus a path u -> w -> ... -> v for some other
-      // successor w of u.
-      out_of(u).ForEach([&](int w) {
-        if (w != v && reach[w].test(v)) found = true;
-      });
+      // successor w of u, i.e. w in Below(v). v itself is in Below(v)
+      // only on a cycle, so the word-wise test suffices unless it is.
+      if (!below_of(v).test(v)) {
+        found = out_of(u).Intersects(below_of(v));
+      } else {
+        out_of(u).ForEach(
+            [&](int w) { found |= (w != v && below_of(v).test(w)); });
+      }
     });
   });
   return found;
@@ -227,12 +202,11 @@ void Subhierarchy::UnionWith(const Subhierarchy& other) {
   });
 }
 
-std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
+std::optional<Subhierarchy> Subhierarchy::FromEdgeList(
     int num_categories, CategoryId root,
     const std::vector<std::pair<CategoryId, CategoryId>>& edges) {
   if (root < 0 || root >= num_categories) return std::nullopt;
   Subhierarchy g(num_categories, root);
-  g.top_.clear();
   for (const auto& [u, v] : edges) {
     if (u < 0 || u >= num_categories || v < 0 || v >= num_categories ||
         u == v) {
@@ -246,121 +220,76 @@ std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
 
   // Every category of g must be reachable from root (invariant of each
   // EXPAND step, so of every checkpointed frontier).
-  {
-    DynamicBitset seen(num_categories);
-    std::vector<CategoryId> frontier{root};
-    seen.set(root);
-    while (!frontier.empty()) {
-      CategoryId u = frontier.back();
-      frontier.pop_back();
-      g.out_of(u).ForEach([&](int v) {
-        if (!seen.test(v)) {
-          seen.set(v);
-          frontier.push_back(v);
-        }
-      });
-    }
-    if (!g.cats_.IsSubsetOf(seen)) return std::nullopt;
+  DynamicBitset seen(num_categories);
+  std::vector<CategoryId> frontier{root};
+  seen.set(root);
+  while (!frontier.empty()) {
+    CategoryId u = frontier.back();
+    frontier.pop_back();
+    g.out_of(u).ForEach([&](int v) {
+      if (!seen.test(v)) {
+        seen.set(v);
+        frontier.push_back(v);
+      }
+    });
   }
+  if (!g.cats_.IsSubsetOf(seen)) return std::nullopt;
 
   // In a search state, top() is exactly the not-yet-expanded categories
   // — the ones with no outgoing edge (the search removes a category
   // from top() precisely when it gains its edges).
+  g.top_.clear();
   g.cats_.ForEach([&](int u) {
     if (g.out_of(u).none()) g.top_.set(u);
   });
+  return g;
+}
 
-  // Rebuild Below by relaxation to a fixpoint (partial graphs may be
-  // cyclic when pruning is disabled; the fixpoint handles both).
-  std::vector<DynamicBitset> reach(num_categories,
-                                   DynamicBitset(num_categories));
+void Subhierarchy::RebuildBelow() {
+  // Relaxation to a fixpoint of Below(v) = union over edges (u, v) of
+  // {u} ∪ Below(u). Edge sets may be cyclic (pruning off, or a
+  // brute-force candidate); a category on a cycle ends up in its own
+  // Below, exactly as EXPAND's propagation leaves it.
   bool changed = true;
-  g.cats_.ForEach([&](int u) { reach[u].set(u); });
   while (changed) {
     changed = false;
-    g.cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      g.out_of(u).ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
+    cats_.ForEach([&](int v) {
+      DynamicBitset& below = below_of(v);
+      in_of(v).ForEach([&](int u) {
+        if (below.test(u) && below_of(u).IsSubsetOf(below)) return;
+        below.set(u);
+        below |= below_of(u);
+        changed = true;
+      });
     });
   }
-  g.cats_.ForEach([&](int v) {
-    g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_of(v).set(u);
-    });
-  });
+}
+
+std::optional<Subhierarchy> Subhierarchy::FromPartialEdges(
+    int num_categories, CategoryId root,
+    const std::vector<std::pair<CategoryId, CategoryId>>& edges) {
+  std::optional<Subhierarchy> g = FromEdgeList(num_categories, root, edges);
+  if (g.has_value()) g->RebuildBelow();
   return g;
 }
 
 std::optional<Subhierarchy> Subhierarchy::FromEdges(
     int num_categories, CategoryId root, CategoryId all,
     const std::vector<std::pair<CategoryId, CategoryId>>& edges) {
-  Subhierarchy g(num_categories, root);
-  g.top_.clear();
-  for (const auto& [u, v] : edges) {
-    if (u < 0 || u >= num_categories || v < 0 || v >= num_categories ||
-        u == v) {
+  std::optional<Subhierarchy> g = FromEdgeList(num_categories, root, edges);
+  if (!g.has_value()) return std::nullopt;
+  // Unless g is the single node root == All, All must be in g and be
+  // its only category without outgoing edges (any other cannot reach
+  // All). With acyclicity this implies c ->* All for all c. (Cyclic
+  // edge sets are representable — the structural CHECK rejects them.)
+  const bool lone_all = root == all && g->cats_.count() == 1;
+  if (!lone_all) {
+    if (all < 0 || all >= num_categories || !g->top_.test(all) ||
+        g->top_.count() != 1) {
       return std::nullopt;
     }
-    g.cats_.set(u);
-    g.cats_.set(v);
-    g.out_of(u).set(v);
-    g.in_of(v).set(u);
   }
-
-  // Reachability from root must cover every category of g.
-  {
-    DynamicBitset seen(num_categories);
-    std::vector<CategoryId> frontier{root};
-    seen.set(root);
-    while (!frontier.empty()) {
-      CategoryId u = frontier.back();
-      frontier.pop_back();
-      g.out_of(u).ForEach([&](int v) {
-        if (!seen.test(v)) {
-          seen.set(v);
-          frontier.push_back(v);
-        }
-      });
-    }
-    if (!g.cats_.IsSubsetOf(seen)) return std::nullopt;
-  }
-
-  // Every category without outgoing edges must be All (otherwise it
-  // cannot reach All); All itself must have none. With acyclicity this
-  // implies c ->* All for all c. (Cyclic edge sets are representable —
-  // the structural CHECK rejects them later.)
-  bool ok = true;
-  g.cats_.ForEach([&](int u) {
-    bool has_out = g.out_of(u).any();
-    if (u == all && has_out) ok = false;
-    if (u != all && !has_out) ok = false;
-    if (!has_out) g.top_.set(u);
-  });
-  if (root == all && g.cats_.count() == 1) ok = true;
-  if (!ok) return std::nullopt;
-  if (!g.cats_.test(all) && !(root == all && g.cats_.count() == 1)) {
-    return std::nullopt;
-  }
-
-  // Rebuild Below exactly.
-  std::vector<DynamicBitset> reach(num_categories,
-                                   DynamicBitset(num_categories));
-  bool changed = true;
-  g.cats_.ForEach([&](int u) { reach[u].set(u); });
-  while (changed) {
-    changed = false;
-    g.cats_.ForEach([&](int u) {
-      DynamicBitset before = reach[u];
-      g.out_of(u).ForEach([&](int v) { reach[u] |= reach[v]; });
-      if (reach[u] != before) changed = true;
-    });
-  }
-  g.cats_.ForEach([&](int v) {
-    g.cats_.ForEach([&](int u) {
-      if (u != v && reach[u].test(v)) g.below_of(v).set(u);
-    });
-  });
+  g->RebuildBelow();
   return g;
 }
 

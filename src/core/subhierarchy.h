@@ -17,6 +17,8 @@
 //   g.In*(c) -> Below(c)       (categories that reach c in g)
 // with In* kept exact under edge insertion by downstream propagation
 // (the paper's line (5) under-maintains it; see DESIGN.md deviation 3).
+// Below is exact on cyclic graphs too (a category on a cycle is in its
+// own Below), so reachability, cycles and shortcuts are all read off it.
 
 #ifndef OLAPDC_CORE_SUBHIERARCHY_H_
 #define OLAPDC_CORE_SUBHIERARCHY_H_
@@ -140,11 +142,12 @@ class Subhierarchy {
   /// True iff `path` (category sequence) is a path of g.
   bool IsPath(const std::vector<CategoryId>& path) const;
 
-  /// For every category in g, the set of categories reachable from it
-  /// within g, *including itself*; empty sets for absent categories.
-  /// The transpose of Below, O(N + sum of |Below|) — computed once per
-  /// CHECK.
-  std::vector<DynamicBitset> ComputeReach() const;
+  /// True iff g contains `from` and `to` is reachable from it within g
+  /// (reflexively): read straight off the exact Below(to), so it costs
+  /// one bit test.
+  bool Reaches(CategoryId from, CategoryId to) const {
+    return Contains(from) && (from == to || Below(to).test(from));
+  }
 
   /// The edge list, grouped by source in ascending order.
   std::vector<std::pair<CategoryId, CategoryId>> Edges() const;
@@ -152,21 +155,15 @@ class Subhierarchy {
   /// Materializes g as a Digraph over all n category ids.
   Digraph ToDigraph() const;
 
-  /// True iff g (as currently built) has a directed cycle.
+  /// True iff g (as currently built) has a directed cycle, i.e. some
+  /// category u lies in its own Below(u).
   bool HasCycleIn() const;
-  /// Same, but reusing a reachability table already computed by
-  /// ComputeReach() on this exact g — the CHECK hot path computes
-  /// reach once and shares it between the cycle test, the shortcut
-  /// test, and the circle operator instead of materializing a Digraph
-  /// per call. A cycle exists iff some edge (u, v) has v reaching back
-  /// to u (self-edges cannot occur).
-  bool HasCycleIn(const std::vector<DynamicBitset>& reach) const;
 
   /// True iff some edge (u, v) of g is paralleled by a longer path —
-  /// condition (a) of Proposition 2. Requires acyclicity for exactness.
+  /// condition (a) of Proposition 2: another successor w of u lies in
+  /// Below(v). Like HasCycleIn() it reads the exact Below sets and
+  /// allocates nothing.
   bool HasShortcut() const;
-  /// Same, with a caller-supplied ComputeReach() table (see above).
-  bool HasShortcut(const std::vector<DynamicBitset>& reach) const;
 
   /// Merges `other` (over the same category universe) into this
   /// subhierarchy: categories, edges, and Below sets union
@@ -188,6 +185,15 @@ class Subhierarchy {
   const DynamicBitset& out_of(CategoryId c) const { return Out(c); }
   const DynamicBitset& in_of(CategoryId c) const { return In(c); }
   const DynamicBitset& below_of(CategoryId c) const { return Below(c); }
+
+  /// The validated skeleton shared by FromEdges and FromPartialEdges:
+  /// categories, Out/In and top() from an edge list whose categories
+  /// are all reachable from root; Below is left empty.
+  static std::optional<Subhierarchy> FromEdgeList(
+      int num_categories, CategoryId root,
+      const std::vector<std::pair<CategoryId, CategoryId>>& edges);
+  /// Recomputes every Below set from Out/In.
+  void RebuildBelow();
 
   DynamicBitset cats_;
   DynamicBitset top_;

@@ -39,6 +39,7 @@ void ExpectStatsEqual(const DimsatStats& a, const DimsatStats& b) {
   EXPECT_EQ(a.expand_calls, b.expand_calls);
   EXPECT_EQ(a.check_calls, b.check_calls);
   EXPECT_EQ(a.structural_rejections, b.structural_rejections);
+  EXPECT_EQ(a.circle_rejections, b.circle_rejections);
   EXPECT_EQ(a.assignments_tried, b.assignments_tried);
   EXPECT_EQ(a.into_prunes, b.into_prunes);
   EXPECT_EQ(a.shortcut_prunes, b.shortcut_prunes);

@@ -145,6 +145,31 @@ TEST_F(DimsatLocationTest, PruningReducesWork) {
             with_pruning.stats.structural_rejections);
 }
 
+// CHECK accounting on the location example: every CHECK is settled by
+// the structural test, by the circle verdict (some circled constraint
+// folds to False, no assignment search), or by the assignment search.
+TEST_F(DimsatLocationTest, CircleRejectionsOnTheLocationExample) {
+  DimsatOptions paper;  // Figure 7's monolithic id-order search
+  paper.decompose = false;
+  paper.branch_heuristic = false;
+  paper.enumerate_all = true;
+  DimsatResult r = Dimsat(*ds_, store_, paper);
+  ASSERT_OK(r.status);
+  // Nine CHECKs: one shortcut, two subhierarchies without SaleRegion
+  // (Store.SaleRegion circles to False), four frozen dimensions, and
+  // two whose open constraints no c-assignment satisfies (Example 12's
+  // mixed structure among them).
+  EXPECT_EQ(r.stats.check_calls, 9u);
+  EXPECT_EQ(r.stats.structural_rejections, 1u);
+  EXPECT_EQ(r.stats.circle_rejections, 2u);
+  EXPECT_EQ(r.stats.frozen_found, 4u);
+
+  DimsatResult shipped = EnumerateFrozenDimensions(*ds_, store_);
+  ASSERT_OK(shipped.status);
+  EXPECT_EQ(shipped.stats.check_calls, 9u);
+  EXPECT_EQ(shipped.stats.circle_rejections, 2u);
+}
+
 TEST_F(DimsatLocationTest, TraceRecordsExpansionAndChecks) {
   DimsatOptions options;
   options.collect_trace = true;

@@ -14,6 +14,7 @@
 #include "core/dimsat.h"
 #include "core/implication.h"
 #include "core/location_example.h"
+#include "core/naive_sat.h"
 #include "core/reasoner.h"
 #include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
@@ -57,6 +58,9 @@ TEST_F(MetricsGoldenTest, DimsatCountersMatchReturnedStats) {
             r.stats.check_calls);
   EXPECT_EQ(snapshot.counter("olapdc.dimsat.structural_rejections"),
             r.stats.structural_rejections);
+  EXPECT_EQ(snapshot.counter("olapdc.dimsat.circle_rejections"),
+            r.stats.circle_rejections);
+  EXPECT_EQ(snapshot.counter("olapdc.dimsat.circle_rejections"), 2u);
   EXPECT_EQ(snapshot.counter("olapdc.dimsat.assignments_tried"),
             r.stats.assignments_tried);
   EXPECT_EQ(snapshot.counter("olapdc.dimsat.prune.into"),
@@ -74,13 +78,34 @@ TEST_F(MetricsGoldenTest, DimsatCountersMatchReturnedStats) {
   for (const char* name :
        {"olapdc.dimsat.prune.into", "olapdc.dimsat.prune.shortcut",
         "olapdc.dimsat.prune.cycle", "olapdc.dimsat.dead_ends",
-        "olapdc.dimsat.budget_stops"}) {
+        "olapdc.dimsat.budget_stops", "olapdc.dimsat.circle_rejections"}) {
     EXPECT_EQ(snapshot.counters.count(name), 1u) << name;
   }
 
   // One run, one latency sample.
   ASSERT_EQ(snapshot.histograms.count("olapdc.dimsat.latency_us"), 1u);
   EXPECT_EQ(snapshot.histograms.at("olapdc.dimsat.latency_us").count, 1u);
+}
+
+TEST_F(MetricsGoldenTest, NaiveSatCountersMatchReturnedStats) {
+  NaiveSatOptions options;
+  options.enumerate_all = true;
+  ASSERT_OK_AND_ASSIGN(DimsatResult r, NaiveSat(*ds_, store_, options));
+  ASSERT_EQ(r.frozen.size(), 4u);
+
+  obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snapshot.counter("olapdc.naive_sat.runs"), 1u);
+  EXPECT_EQ(snapshot.counter("olapdc.naive_sat.candidates_checked"),
+            r.stats.check_calls);
+  EXPECT_EQ(snapshot.counter("olapdc.naive_sat.structural_rejections"),
+            r.stats.structural_rejections);
+  EXPECT_EQ(snapshot.counter("olapdc.naive_sat.circle_rejections"),
+            r.stats.circle_rejections);
+  EXPECT_GT(r.stats.circle_rejections, 0u);
+  EXPECT_LT(r.stats.structural_rejections + r.stats.circle_rejections,
+            r.stats.check_calls);
+  EXPECT_EQ(snapshot.counter("olapdc.naive_sat.frozen_found"),
+            r.stats.frozen_found);
 }
 
 TEST_F(MetricsGoldenTest, PruningRulesFireOnTheLocationEnumeration) {

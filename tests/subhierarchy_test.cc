@@ -1,7 +1,8 @@
 // Tests for the Subhierarchy structure: EXPAND bookkeeping (Top, In*),
 // FromEdges validation, cycle and shortcut detection — including the
 // "shortcut at distance" case the paper's incremental test misses
-// (DESIGN.md deviations).
+// (DESIGN.md deviations) — and the Below-based Reaches/HasCycleIn/
+// HasShortcut against plain graph algorithms on random graphs.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,48 @@
 
 #include "core/location_example.h"
 #include "core/subhierarchy.h"
+#include "graph/algorithms.h"
 #include "tests/test_util.h"
 
 namespace olapdc {
 namespace {
 
 using testing_util::MakeHierarchy;
+
+/// Plain graph reachability from `u` over g's edges (reflexive; empty
+/// when u is not in g).
+DynamicBitset GraphReach(const Subhierarchy& g, int u) {
+  const int n = g.num_categories();
+  if (!g.Contains(u)) return DynamicBitset(n);
+  return ReachableFrom(g.ToDigraph(), u);
+}
+
+/// Brute-force shortcut scan: an edge (u, v) and another successor w
+/// of u from which v is reachable.
+bool BruteForceHasShortcut(const Subhierarchy& g) {
+  const Digraph d = g.ToDigraph();
+  for (const auto& [u, v] : g.Edges()) {
+    for (const auto& [u2, w] : g.Edges()) {
+      if (u2 == u && w != v && ReachableFrom(d, w).test(v)) return true;
+    }
+  }
+  return false;
+}
+
+/// Checks every Below-based query of g against the graph algorithms.
+void ExpectMatchesGraphAlgorithms(const Subhierarchy& g,
+                                  const std::string& where) {
+  const int n = g.num_categories();
+  for (int u = 0; u < n; ++u) {
+    const DynamicBitset want = GraphReach(g, u);
+    for (int v = 0; v < n; ++v) {
+      EXPECT_EQ(g.Reaches(u, v), want.test(v))
+          << where << ": Reaches(" << u << ", " << v << ")";
+    }
+  }
+  EXPECT_EQ(g.HasCycleIn(), HasCycle(g.ToDigraph())) << where;
+  EXPECT_EQ(g.HasShortcut(), BruteForceHasShortcut(g)) << where;
+}
 
 TEST(SubhierarchyTest, InitialState) {
   Subhierarchy g(5, 0);
@@ -87,15 +124,16 @@ TEST(SubhierarchyTest, PathAndReach) {
   EXPECT_TRUE(g.IsPath({1, 2}));
   EXPECT_FALSE(g.IsPath({0, 2}));
   EXPECT_FALSE(g.IsPath({}));
-  auto reach = g.ComputeReach();
-  EXPECT_TRUE(reach[0].test(3));
-  EXPECT_TRUE(reach[2].test(2));  // reflexive
-  EXPECT_FALSE(reach[3].test(0));
+  EXPECT_TRUE(g.Reaches(0, 3));
+  EXPECT_TRUE(g.Reaches(2, 2));  // reflexive
+  EXPECT_FALSE(g.Reaches(3, 0));
+  Subhierarchy partial(5, 0);
+  EXPECT_FALSE(partial.Reaches(4, 4)) << "categories outside g reach nothing";
 }
 
-// ComputeReach() transposes the incrementally maintained Below sets;
-// it must equal plain graph reachability over Edges() on every state a
-// logged search can reach — cycles (pruning off) and rollbacks included.
+// Reaches() reads the incrementally maintained Below sets; it must
+// equal plain graph reachability over Edges() on every state a logged
+// search can reach — cycles (pruning off) and rollbacks included.
 TEST(SubhierarchyTest, ReachEqualsGraphReachabilityAcrossExpandAndRollback) {
   constexpr int kN = 7;
   std::mt19937 rng(42);
@@ -117,7 +155,6 @@ TEST(SubhierarchyTest, ReachEqualsGraphReachabilityAcrossExpandAndRollback) {
         if (r.none()) r.set((ctop + 1) % kN);
         g.ExpandLogged(ctop, r, &log);
       }
-      const std::vector<DynamicBitset> reach = g.ComputeReach();
       for (int u = 0; u < kN; ++u) {
         DynamicBitset want(kN);
         if (g.Contains(u)) {
@@ -134,12 +171,100 @@ TEST(SubhierarchyTest, ReachEqualsGraphReachabilityAcrossExpandAndRollback) {
             });
           }
         }
-        EXPECT_TRUE(reach[u] == want)
+        DynamicBitset reach(kN);
+        for (int v = 0; v < kN; ++v) {
+          if (g.Reaches(u, v)) reach.set(v);
+        }
+        EXPECT_TRUE(reach == want)
             << "trial " << trial << " step " << step << " category " << u;
       }
-      EXPECT_EQ(g.HasCycleIn(reach), g.HasCycleIn());
+      EXPECT_EQ(g.HasCycleIn(), HasCycle(g.ToDigraph()));
     }
   }
+}
+
+// The same random logged searches, with the shortcut test checked too,
+// and a plain Expand() copy kept in step to check that the two
+// propagation paths leave identical Below sets.
+TEST(SubhierarchyTest, StructuralTestsMatchGraphAlgorithmsAcrossExpandAndRollback) {
+  constexpr int kN = 8;
+  std::mt19937 rng(20261019);
+  int cyclic = 0, shortcut = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Subhierarchy g(kN, 0);
+    SubhierarchyUndoLog log;
+    std::vector<Subhierarchy> copies{g};
+    for (int step = 0; step < 14; ++step) {
+      if (!log.empty() && rng() % 4 == 0) {
+        g.Rollback(&log);
+        copies.pop_back();
+      } else {
+        std::vector<int> tops;
+        g.top().ForEach([&](int c) { tops.push_back(c); });
+        if (tops.empty()) break;
+        const int ctop = tops[rng() % tops.size()];
+        DynamicBitset r(kN);
+        for (int c = 0; c < kN; ++c) {
+          if (c != ctop && rng() % 4 == 0) r.set(c);
+        }
+        if (r.none()) r.set((ctop + 1) % kN);
+        g.ExpandLogged(ctop, r, &log);
+        Subhierarchy next = copies.back();
+        next.Expand(ctop, r);
+        copies.push_back(std::move(next));
+      }
+      const std::string where =
+          "trial " + std::to_string(trial) + " step " + std::to_string(step);
+      ExpectMatchesGraphAlgorithms(g, where);
+      for (int c = 0; c < kN; ++c) {
+        EXPECT_TRUE(g.Below(c) == copies.back().Below(c)) << where;
+      }
+      cyclic += g.HasCycleIn();
+      shortcut += g.HasShortcut();
+    }
+  }
+  EXPECT_GT(cyclic, 0) << "the corpus must exercise cyclic graphs";
+  EXPECT_GT(shortcut, 0) << "the corpus must exercise shortcuts";
+}
+
+// FromEdges / FromPartialEdges rebuild Below from scratch; on random
+// edge sets (cyclic ones included) it must agree with the graph
+// algorithms, and a category on a cycle must be in its own Below.
+TEST(SubhierarchyTest, RebuiltBelowMatchesGraphAlgorithmsOnRandomEdgeSets) {
+  constexpr int kN = 7;
+  const int all = kN - 1;
+  std::mt19937 rng(77);
+  int partial = 0, complete = 0, cyclic = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::pair<CategoryId, CategoryId>> edges;
+    for (int u = 0; u < kN; ++u) {
+      for (int v = 0; v < kN; ++v) {
+        if (u != v && rng() % 5 == 0) edges.emplace_back(u, v);
+      }
+    }
+    const std::string where = "trial " + std::to_string(trial);
+    if (auto g = Subhierarchy::FromPartialEdges(kN, 0, edges)) {
+      ++partial;
+      ExpectMatchesGraphAlgorithms(*g, "partial " + where);
+      const Digraph d = g->ToDigraph();
+      g->categories().ForEach([&](int u) {
+        bool on_cycle = false;
+        g->Out(u).ForEach(
+            [&](int w) { on_cycle |= ReachableFrom(d, w).test(u); });
+        EXPECT_EQ(g->Below(u).test(u), on_cycle) << where << " category " << u;
+      });
+      cyclic += g->HasCycleIn();
+    }
+    // Drop All's out-edges so more edge sets pass FromEdges.
+    std::erase_if(edges, [&](const auto& e) { return e.first == all; });
+    if (auto g = Subhierarchy::FromEdges(kN, 0, all, edges)) {
+      ++complete;
+      ExpectMatchesGraphAlgorithms(*g, "complete " + where);
+    }
+  }
+  EXPECT_GT(partial, 100);
+  EXPECT_GT(complete, 10);
+  EXPECT_GT(cyclic, 10);
 }
 
 TEST(SubhierarchyTest, CycleDetection) {
@@ -148,6 +273,8 @@ TEST(SubhierarchyTest, CycleDetection) {
                                    {{0, 1}, {1, 2}, {2, 1}, {1, 3}, {2, 3}});
   ASSERT_TRUE(g.has_value());
   EXPECT_TRUE(g->HasCycleIn());
+  EXPECT_TRUE(g->Below(1).test(1)) << "1 lies on the cycle 1->2->1";
+  EXPECT_FALSE(g->Below(0).test(0));
 }
 
 TEST(SubhierarchyTest, ShortcutDetection) {
