@@ -1,24 +1,16 @@
-// cache_bench — cold vs warm cost of the cross-request cache plane
-// (ROADMAP item 2; docs/caching.md), committed as BENCH_cache.json.
+// cache_bench — cold vs warm cost of the cross-request response cache
+// (docs/caching.md), committed as BENCH_cache.json.
 //
-// Three measurements, driven transport-free through
+// Two measurements, driven transport-free through
 // DimService::HandleRequest so the numbers isolate the request plane
 // and the engines (no socket noise):
 //
 //   1. service cold/warm — a fixed pool of distinct requests (checks,
 //      implies, summarizable over the location example and generated
-//      layered schemas) runs once cold, once against the response
-//      layer, and once against the closure layer (response layer
-//      cleared in between). The warm rows carry cache_hit_ratio and
-//      speedup_vs_cold — the fields CI floors (report-only).
-//   2. no-good warm-up — the DIMSAT engine alone in enumerate mode
-//      (the mode that explores whole subtrees instead of stopping at
-//      the first witness, so barren subtrees actually complete and
-//      record), every category of a set of generated schemas with one
-//      shared NoGoodStore: the second sweep shows the expand-call
-//      reduction learned pruning buys without any response/closure
-//      short-circuit.
-//   3. repeat-fraction sweep — loadgen-shaped traffic where a request
+//      layered schemas) runs once cold and once warm. The warm row
+//      carries cache_hit_ratio and speedup_vs_cold — the fields the
+//      bench_gate floor reads.
+//   2. repeat-fraction sweep — loadgen-shaped traffic where a request
 //      is a repeat of an earlier one with probability f; the achieved
 //      hit ratio and mean latency per f show how the win scales with
 //      traffic self-similarity.
@@ -29,9 +21,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/dimsat.h"
 #include "core/location_example.h"
-#include "core/nogood.h"
 #include "io/schema_io.h"
 #include "obs/http_server.h"
 #include "obs/json.h"
@@ -73,32 +63,6 @@ std::vector<DimensionSchema> GeneratedSchemas() {
     constraint_options.into_fraction = 0.7;
     constraint_options.num_choice_constraints = 4;
     constraint_options.num_equality_constraints = 3;
-    constraint_options.seed = seed;
-    schemas.push_back(bench::Unwrap(
-        GenerateConstrainedSchema(hierarchy, constraint_options)));
-  }
-  return schemas;
-}
-
-/// Smaller schemas for the enumerate-mode no-good phase: full frozen
-/// enumeration is exponential in practice, so the phase sizes its
-/// inputs to finish in seconds while still giving the store thousands
-/// of subtrees to learn.
-std::vector<DimensionSchema> NoGoodSchemas() {
-  std::vector<DimensionSchema> schemas;
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    SchemaGenOptions schema_options;
-    schema_options.num_levels = 4;
-    schema_options.categories_per_level = 3;
-    schema_options.extra_edge_prob = 0.3;
-    schema_options.max_level_jump = 2;
-    schema_options.seed = seed;
-    HierarchySchemaPtr hierarchy =
-        bench::Unwrap(GenerateLayeredHierarchy(schema_options));
-    ConstraintGenOptions constraint_options;
-    constraint_options.into_fraction = 0.5;
-    constraint_options.num_choice_constraints = 3;
-    constraint_options.num_equality_constraints = 2;
     constraint_options.seed = seed;
     schemas.push_back(bench::Unwrap(
         GenerateConstrainedSchema(hierarchy, constraint_options)));
@@ -200,28 +164,19 @@ int Run() {
   options.default_deadline_ms = 30000;
   service::DimService service(options);
 
-  // --- 1. service cold / response-warm / closure-warm ---------------
+  // --- 1. service cold / warm ---------------------------------------
   const PassResult cold = RunPass(service, queries);
   const PassResult warm = RunPass(service, queries);
-  caches.ClearResponses();
-  const PassResult closure = RunPass(service, queries);
 
   const double warm_ratio =
       warm.requests > 0 ? static_cast<double>(warm.cache_served) /
                               static_cast<double>(warm.requests)
                         : 0.0;
-  const double closure_ratio =
-      closure.requests > 0 ? static_cast<double>(closure.cache_served) /
-                                 static_cast<double>(closure.requests)
-                           : 0.0;
   std::printf("%zu distinct queries (%llu non-200 cold)\n", queries.size(),
               static_cast<unsigned long long>(cold.non_200));
   std::printf("cold    %9.1f us/query\n", MeanUs(cold));
   std::printf("warm    %9.1f us/query  (%.0fx, hit ratio %.3f)\n",
               MeanUs(warm), MeanUs(cold) / MeanUs(warm), warm_ratio);
-  std::printf("closure %9.1f us/query  (%.0fx, hit ratio %.3f)\n",
-              MeanUs(closure), MeanUs(cold) / MeanUs(closure),
-              closure_ratio);
 
   reporter.AddRow()
       .Set("case", "service_cold")
@@ -234,62 +189,7 @@ int Run() {
       .Set("mean_us_per_query", MeanUs(warm))
       .Set("speedup_vs_cold", MeanUs(cold) / MeanUs(warm))
       .Set("cache_hit_ratio", warm_ratio);
-  reporter.AddRow()
-      .Set("case", "service_warm_closure")
-      .Set("queries", closure.requests)
-      .Set("mean_us_per_query", MeanUs(closure))
-      .Set("speedup_vs_cold", MeanUs(cold) / MeanUs(closure))
-      .Set("cache_hit_ratio", closure_ratio);
-
-  // --- 2. no-good warm-up, engine only ------------------------------
-  // Enumerate mode: stop-at-first-witness searches on satisfiable
-  // categories never complete a barren subtree, so they have nothing
-  // to record — enumeration (the /v1/check shape for frozen-dimension
-  // listings, and the engine shape behind implies on unsatisfiable
-  // extensions) is where learned pruning pays.
-  bench::PrintHeader("DIMSAT no-good store: expand-call reduction");
-  uint64_t expand_cold = 0, expand_warm = 0, nogood_prunes = 0;
-  double cold_us = 0, warm_us = 0;
-  NoGoodStore store;
-  for (const DimensionSchema& schema : NoGoodSchemas()) {
-    for (CategoryId c = 0; c < schema.hierarchy().num_categories(); ++c) {
-      if (c == schema.hierarchy().all()) continue;
-      DimsatOptions plain;
-      plain.enumerate_all = true;
-      bench::WallTimer cold_timer;
-      expand_cold += Dimsat(schema, c, plain).stats.expand_calls;
-      cold_us += cold_timer.ElapsedUs();
-      DimsatOptions learned = plain;
-      learned.nogoods = &store;
-      Dimsat(schema, c, learned);  // fill
-      bench::WallTimer warm_timer;
-      const DimsatResult warm_result = Dimsat(schema, c, learned);
-      expand_warm += warm_result.stats.expand_calls;
-      nogood_prunes += warm_result.stats.nogood_prunes;
-      warm_us += warm_timer.ElapsedUs();
-    }
-  }
-  const double reduction =
-      expand_cold > 0 ? 100.0 * (1.0 - static_cast<double>(expand_warm) /
-                                           static_cast<double>(expand_cold))
-                      : 0.0;
-  std::printf(
-      "expand calls %llu -> %llu (-%.1f%%), %.0f -> %.0f us, %llu "
-      "signatures learned, %llu warm prunes\n",
-      static_cast<unsigned long long>(expand_cold),
-      static_cast<unsigned long long>(expand_warm), reduction, cold_us,
-      warm_us, static_cast<unsigned long long>(store.size()),
-      static_cast<unsigned long long>(nogood_prunes));
-  reporter.AddRow()
-      .Set("case", "dimsat_nogood_warm")
-      .Set("expand_calls_cold", expand_cold)
-      .Set("expand_calls_warm", expand_warm)
-      .Set("expand_reduction_pct", reduction)
-      .Set("signatures_learned", store.size())
-      .Set("nogood_prunes", nogood_prunes)
-      .Set("speedup_vs_cold", warm_us > 0 ? cold_us / warm_us : 0.0);
-
-  // --- 3. repeat-fraction sweep -------------------------------------
+  // --- 2. repeat-fraction sweep -------------------------------------
   bench::PrintHeader("repeat-fraction sweep (fresh caches per point)");
   for (const double f : {0.0, 0.25, 0.5, 0.75, 0.95}) {
     service::ServiceCaches sweep_caches;

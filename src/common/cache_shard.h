@@ -1,10 +1,10 @@
-// ShardedCache: the common substrate of the service-level caches
-// (ROADMAP item 2). Three layers sit on it — the canonicalized
-// constraint/response cache, the DIMSAT no-good store, and the shared
-// implication-closure cache — all keyed by a (schema, Σ) epoch so a
-// theory edit invalidates logically and atomically: the epoch is part
-// of every key, so entries of a dead epoch can never hit again and age
-// out through the LRU like any other cold entry.
+// ShardedCache: the substrate of the cross-request caches — the
+// daemon's canonicalized response cache (service/service_caches.h) and
+// the Reasoner's shared AnswerCache (core/answer_cache.h). Callers key
+// every entry by a (schema, Σ) epoch so a theory edit invalidates
+// logically and atomically: the epoch is part of every key, so entries
+// of a dead epoch can never hit again and age out through the LRU like
+// any other cold entry.
 //
 // Concurrency is sharded: the key hash picks one of a power-of-two
 // number of shards, each an independently locked LRU map, so readers
@@ -45,9 +45,9 @@
 namespace olapdc {
 
 /// A 128-bit content fingerprint: two independent 64-bit FNV-1a style
-/// streams over the same bytes. Used for schema epochs, normalized
-/// constraint identities, and no-good subhierarchy signatures — places
-/// where a collision would silently alias two different theories, so
+/// streams over the same bytes. Used for schema epochs and the
+/// constraint identities in response-cache keys — places where a
+/// collision would silently alias two different theories, so
 /// 64 bits (birthday-bounded at ~2^32 entries) is not enough margin.
 struct Fingerprint128 {
   uint64_t hi = 0;
@@ -61,8 +61,7 @@ struct Fingerprint128 {
     return hi != o.hi ? hi < o.hi : lo < o.lo;
   }
 
-  /// Compact stable rendering for cache keys, /varz, and serialized
-  /// no-good stores.
+  /// Compact stable rendering for cache keys, /varz, and snapshots.
   std::string ToHex() const {
     static const char* kDigits = "0123456789abcdef";
     std::string out(32, '0');
@@ -72,12 +71,6 @@ struct Fingerprint128 {
           kDigits[(word >> (60 - 4 * (i & 15))) & 0xF];
     }
     return out;
-  }
-};
-
-struct Fingerprint128Hash {
-  size_t operator()(const Fingerprint128& f) const {
-    return static_cast<size_t>(f.lo ^ (f.hi * 0x9E3779B97F4A7C15ull));
   }
 };
 
@@ -206,9 +199,6 @@ class ShardedCache {
     return false;
   }
 
-  /// Probe without copy (set-style callers: the no-good store).
-  bool Contains(const Key& key) { return Lookup(key, nullptr); }
-
   /// Inserts (or refreshes) key -> value, charging entry_overhead +
   /// value_bytes. LRU entries are evicted first whenever the shard's
   /// byte slice would overflow; a value larger than the whole slice is
@@ -267,7 +257,7 @@ class ShardedCache {
   const std::string& name() const { return options_.name; }
 
   /// Calls fn(key, value) for every resident entry, shard by shard
-  /// (serialization of the no-good store). Entries inserted or evicted
+  /// (the response-cache snapshot). Entries inserted or evicted
   /// concurrently may or may not be visited.
   template <typename Fn>
   void ForEach(Fn&& fn) const {

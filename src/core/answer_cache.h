@@ -1,13 +1,12 @@
-// AnswerCache: the shared implication-closure cache (ROADMAP item 2,
-// layer c). The Reasoner has always memoized definitive answers keyed
-// by the canonical rendering of the query — but per Reasoner instance,
-// so the closure died with the request. An AnswerCache is that same
-// canonical-key -> verdict map grown into a process-wide, thread-safe,
-// epoch-keyed store: callers prefix every key with the (schema, Σ)
-// content epoch (SchemaRegistry::Snapshot::epoch), so a theory edit
-// orphans the old closure atomically and identical questions against
-// an unchanged Σ are answered without any search, across requests,
-// connections, and Reasoner instances.
+// AnswerCache: a verdict memo shared across Reasoner instances
+// (Reasoner::Options::shared_cache). The Reasoner memoizes definitive
+// answers keyed by the canonical rendering of the query — but per
+// instance, so the memo dies with the Reasoner. An AnswerCache is that
+// same canonical-key -> verdict map as a thread-safe, epoch-keyed
+// store: callers prefix every key with the (schema, Σ) content epoch
+// (SchemaRegistry::Snapshot::epoch), so a theory edit orphans the old
+// verdicts atomically and identical questions against an unchanged Σ
+// are answered without any search, across Reasoner instances.
 //
 // Only definitive verdicts are stored (kUnknown is retried from
 // scratch, exactly as in the single-run cache), which is what makes
@@ -38,7 +37,7 @@ class AnswerCache {
   // GCC rejects; the delegating default constructor sidesteps that.
   AnswerCache() : AnswerCache(Options{}) {}
   explicit AnswerCache(Options options)
-      : cache_({/*name=*/"closure", options.num_shards, options.max_bytes,
+      : cache_({/*name=*/"answer", options.num_shards, options.max_bytes,
                 /*entry_overhead_bytes=*/96, options.memory}) {}
 
   AnswerCache(const AnswerCache&) = delete;

@@ -76,18 +76,11 @@ bool CollectMentioned(const Expr& e, CategoryId a, CategoryId b,
   return true;
 }
 
-uint64_t MixSalt(uint64_t a, uint64_t b) {
-  uint64_t x = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
-
 }  // namespace
 
 ComponentSplit ComputeComponentSplit(
     const DimensionSchema& ds, CategoryId root,
-    const std::vector<DimensionConstraint>& relevant, uint64_t nogood_salt) {
+    const std::vector<DimensionConstraint>& relevant) {
   ComponentSplit split;
   const HierarchySchema& schema = ds.hierarchy();
   const CategoryId all = schema.all();
@@ -228,11 +221,6 @@ ComponentSplit ComputeComponentSplit(
   }
   begin.pop_back();
 
-  split.salts.reserve(num_components);
-  for (int k = 0; k < num_components; ++k) {
-    split.salts.push_back(MixSalt(
-        nogood_salt, static_cast<uint64_t>(split.universes[k].Hash())));
-  }
   split.eligible = true;
   return split;
 }

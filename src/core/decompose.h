@@ -75,23 +75,18 @@ struct ComponentSplit {
   /// Components with absent_valid == false must contribute a model to
   /// every composed frozen dimension.
   std::vector<bool> absent_valid;
-  /// Per component: the no-good salt separating this component's
-  /// signature space from the monolithic one (a component search sees
-  /// fewer constraints, so its barren verdicts must not leak back).
-  std::vector<uint64_t> salts;
 
   size_t num_components() const { return universes.size(); }
 };
 
 /// Computes the component split for (ds, root) given the prepared
-/// (shorthand-expanded) relevant constraints and the no-good salt the
-/// run would use monolithically. Categories are grouped by union-find
-/// over (a) hierarchy edges between intermediate categories and
-/// (b) per-constraint coupling: every intermediate category one
-/// constraint mentions joins one group.
+/// (shorthand-expanded) relevant constraints. Categories are grouped
+/// by union-find over (a) hierarchy edges between intermediate
+/// categories and (b) per-constraint coupling: every intermediate
+/// category one constraint mentions joins one group.
 ComponentSplit ComputeComponentSplit(
     const DimensionSchema& ds, CategoryId root,
-    const std::vector<DimensionConstraint>& relevant, uint64_t nogood_salt);
+    const std::vector<DimensionConstraint>& relevant);
 
 }  // namespace olapdc
 

@@ -17,7 +17,6 @@
 #include "constraint/normalize.h"
 #include "core/check_subhierarchy.h"
 #include "core/decompose.h"
-#include "core/nogood.h"
 #include "exec/admission.h"
 #include "exec/work_stealing_pool.h"
 #include "obs/metrics.h"
@@ -42,7 +41,6 @@ void AccumulateStats(DimsatStats* total, const DimsatStats& delta) {
   total->shortcut_prunes += delta.shortcut_prunes;
   total->cycle_prunes += delta.cycle_prunes;
   total->dead_ends += delta.dead_ends;
-  total->nogood_prunes += delta.nogood_prunes;
   total->frozen_found += delta.frozen_found;
   total->parallel_tasks += delta.parallel_tasks;
   total->parallel_steals += delta.parallel_steals;
@@ -64,7 +62,6 @@ void FlushDimsatMetrics(const DimsatStats& stats, const Status& status,
   obs::Count("olapdc.dimsat.prune.shortcut", stats.shortcut_prunes);
   obs::Count("olapdc.dimsat.prune.cycle", stats.cycle_prunes);
   obs::Count("olapdc.dimsat.dead_ends", stats.dead_ends);
-  obs::Count("olapdc.dimsat.prune.nogood", stats.nogood_prunes);
   obs::Count("olapdc.dimsat.frozen_found", stats.frozen_found);
   obs::Count("olapdc.dimsat.parallel.tasks", stats.parallel_tasks);
   obs::Count("olapdc.dimsat.parallel.steals", stats.parallel_steals);
@@ -180,17 +177,6 @@ class DimsatSearch {
     if (obs::SearchTreeRecorder::Global().enabled()) {
       recorder_ = &obs::SearchTreeRecorder::Global();
     }
-    // Learned pruning changes which nodes are visited, so it is
-    // incompatible with the exact-trace contract of the Figure 7
-    // harness: a trace-collecting run ignores the store.
-    if (options.nogoods != nullptr && !options.collect_trace) {
-      nogoods_ = options.nogoods;
-      nogood_bits_ = (options.prune_shortcuts ? 1u : 0u) |
-                     (options.prune_cycles ? 2u : 0u) |
-                     (options.prune_into ? 4u : 0u) |
-                     (options.require_injective_names ? 8u : 0u);
-      nogood_salt_ = options.nogood_salt;
-    }
   }
 
   /// Searches from the bare root (the subhierarchy the constructor
@@ -232,12 +218,11 @@ class DimsatSearch {
   /// call.
   std::vector<FrozenDimension> SolveComponent(
       int component, const DynamicBitset& universe,
-      std::span<const DimensionConstraint> relevant, uint64_t nogood_salt,
+      std::span<const DimensionConstraint> relevant,
       std::vector<DimsatCheckpointFrame>* frames) {
     component_ = component;
     universe_ = &universe;
     relevant_ = relevant;
-    if (nogoods_ != nullptr) nogood_salt_ = nogood_salt;
     if (!frames->empty()) {
       Replay(frames);
       // The replayed frames left their subhierarchies behind; later
@@ -498,21 +483,6 @@ class DimsatSearch {
       MaybeCapture(depth, start_mask);
       return;
     }
-    // Learned pruning (core/nogood.h): a node whose signature is a
-    // recorded barren subtree is skipped before it is even counted —
-    // the warm path of a repeat query does O(signature) work per
-    // skipped subtree instead of re-exploring it. Replayed checkpoint
-    // nodes (fresh == false) keep their stats contract untouched.
-    Fingerprint128 node_sig;
-    bool have_sig = false;
-    if (fresh && nogoods_ != nullptr) {
-      node_sig = NoGoodStore::Signature(g_, nogood_bits_, nogood_salt_);
-      have_sig = true;
-      if (nogoods_->Probe(node_sig)) {
-        ++result_.stats.nogood_prunes;
-        return;
-      }
-    }
     if (fresh) {
       if (++result_.stats.expand_calls > options_.max_expand_calls ||
           (run_expands_ != nullptr &&
@@ -535,22 +505,12 @@ class DimsatSearch {
     DynamicBitset pending = g_.top();
     pending.reset(schema_.all());
     if (pending.none()) {
-      const size_t frozen_before = result_.frozen.size();
       if (!RunCheck(g_, depth)) {
         // The CHECK could not afford its outcome: uncount the node and
         // capture it whole so the resume redoes it (frozen dimensions
         // are emitted exactly once across the interrupt/resume pair).
         if (fresh) --result_.stats.expand_calls;
         MaybeCapture(depth, 0);
-        return;
-      }
-      // A completed subhierarchy that induces no frozen dimension is
-      // the leaf form of a barren subtree. The max_frozen guard keeps
-      // a capped enumerate run from recording a leaf whose dimensions
-      // were merely dropped at the cap.
-      if (have_sig && result_.frozen.size() == frozen_before &&
-          result_.frozen.size() < options_.max_frozen) {
-        nogoods_->Record(node_sig);
       }
       return;
     }
@@ -625,9 +585,6 @@ class DimsatSearch {
             });
           }
         }
-        // An into-pruned node yields nothing under these options, in
-        // this run or any future one: a no-good by construction.
-        if (have_sig) nogoods_->Record(node_sig);
         return;
       }
     } else {
@@ -640,7 +597,6 @@ class DimsatSearch {
         Trace(DimsatTraceEvent::Kind::kDeadEnd, g_);
         RecordExplain(obs::ExplainEvent::Kind::kDeadEnd, depth, ctop);
       }
-      if (have_sig) nogoods_->Record(node_sig);
       return;
     }
 
@@ -655,7 +611,6 @@ class DimsatSearch {
     });
     const bool split = spawner_ && depth < split_depth_;
     const uint32_t subsets = uint32_t{1} << num_free;
-    const size_t frozen_before_children = result_.frozen.size();
     for (uint32_t mask = start_mask; mask < subsets; ++mask) {
       if (!ShouldContinue()) {
         // A budget stop mid-loop captures this node's continuation
@@ -680,19 +635,6 @@ class DimsatSearch {
         g_.Rollback(&undo_);
       }
     }
-    // Interior no-good: the subset loop ran to completion *inline*
-    // (no outstanding spawned children), cleanly (no budget stop, no
-    // external stop), and no descendant produced a frozen dimension —
-    // the subtree below this exact subhierarchy is barren and will be
-    // barren in every future run with the same option bits. The
-    // max_frozen guard mirrors the leaf case above.
-    if (have_sig && !split && result_.status.ok() &&
-        (external_stop_ == nullptr ||
-         !external_stop_->load(std::memory_order_relaxed)) &&
-        result_.frozen.size() == frozen_before_children &&
-        result_.frozen.size() < options_.max_frozen) {
-      nogoods_->Record(node_sig);
-    }
   }
 
   const DimensionSchema& ds_;
@@ -716,12 +658,6 @@ class DimsatSearch {
   SubhierarchyUndoLog undo_;
   /// Explain recorder, cached at construction (null = --explain off).
   obs::SearchTreeRecorder* recorder_ = nullptr;
-  /// Learned-pruning store (null = off; forced off under
-  /// collect_trace) and the semantic option bits mixed into every
-  /// signature.
-  NoGoodStore* nogoods_ = nullptr;
-  uint32_t nogood_bits_ = 0;
-  uint64_t nogood_salt_ = 0;
   DimsatResult result_;
   std::atomic<bool>* external_stop_ = nullptr;
   /// The parallel run's shared EXPAND count (null = this search's own).
@@ -960,7 +896,7 @@ class DimsatRun {
       branch_rank = &rank_;
     }
     if (decompose) {
-      split = ComputeComponentSplit(ds, root, relevant, options.nogood_salt);
+      split = ComputeComponentSplit(ds, root, relevant);
     }
     return Status::OK();
   }
@@ -1086,7 +1022,7 @@ DimsatResult RunDecomposedSequential(DimsatRun& run,
     if (!done[k]) {
       std::vector<FrozenDimension> found =
           search.SolveComponent(k, split.universes[k], constraints.of(k),
-                                split.salts[k], &frames[k]);
+                                &frames[k]);
       for (FrozenDimension& f : found) models[k].push_back(std::move(f));
       if (!search.status().ok()) {
         interrupted_idx = static_cast<int>(idx);
@@ -1309,8 +1245,7 @@ DimsatResult RunDecomposedParallel(ParallelShared* shared) {
       search.set_expand_counter(&shared->expands);
       std::vector<DimsatCheckpointFrame> fresh;
       models[k] = search.SolveComponent(k, split.universes[k],
-                                        constraints.of(k), split.salts[k],
-                                        &fresh);
+                                        constraints.of(k), &fresh);
       partials[k].stats = search.stats();
       partials[k].status = search.status();
       const bool errored = !search.status().ok();
@@ -1434,7 +1369,7 @@ DimsatResult ResumeDimsat(const DimensionSchema& ds, CategoryId root,
   if (decomposed) {
     // A decomposed checkpoint only resumes under options that
     // reproduce the interrupted run's exact component split (the
-    // split is a pure function of schema, root, and salt).
+    // split is a pure function of schema and root).
     if (!run.split.eligible ||
         static_cast<int>(run.split.num_components()) !=
             checkpoint.num_components) {

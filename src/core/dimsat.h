@@ -14,6 +14,7 @@
 #ifndef OLAPDC_CORE_DIMSAT_H_
 #define OLAPDC_CORE_DIMSAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -27,8 +28,6 @@
 #include "core/subhierarchy.h"
 
 namespace olapdc {
-
-class NoGoodStore;
 
 namespace exec {
 class AdmissionGate;
@@ -124,25 +123,9 @@ struct DimsatOptions {
   /// hint in the message) when shed. Ignored by the sequential engine,
   /// which holds no pool resources.
   exec::AdmissionGate* admission = nullptr;
-  /// Learned-pruning store (core/nogood.h); not owned, may be shared
-  /// across runs and threads. Null (the default) disables the feature
-  /// entirely — existing stats/trace/explain contracts are unchanged.
-  /// When set, barren subtrees are skipped on sight (counted as
-  /// stats.nogood_prunes) and newly completed barren subtrees are
-  /// recorded. The frozen-dimension *set* is unaffected; per-node
-  /// statistics and traces differ from an uncached run, so the store
-  /// is ignored while collect_trace is on (the Figure 7 harness pins
-  /// exact traces). The caller owns epoch discipline: one store must
-  /// only ever see one schema content epoch.
-  NoGoodStore* nogoods = nullptr;
-  /// Mixed into every no-good signature. A subtree is barren relative
-  /// to the *effective* constraint theory, so runs against different
-  /// theories over the same schema content (e.g. Implies() extends Σ
-  /// with ¬α) must salt their signatures apart: use 0 for plain
-  /// satisfiability against Σ and a fingerprint of the extension for
-  /// anything else. Distinct query roots need no salt — the root is
-  /// part of the signature already.
-  uint64_t nogood_salt = 0;
+  /// Inert: selects nothing. Kept only because perfbench/workloads.cc
+  /// assigns it and the benchmark's sources stay fixed across commits.
+  std::nullptr_t nogoods = nullptr;
 };
 
 struct DimsatStats {
@@ -162,9 +145,9 @@ struct DimsatStats {
   uint64_t cycle_prunes = 0;
   /// Expansions abandoned because no successor choice remained.
   uint64_t dead_ends = 0;
-  /// Subtrees skipped because the no-good store recognized them as
-  /// barren (DimsatOptions::nogoods).
-  uint64_t nogood_prunes = 0;
+  /// Always 0. Kept only because perfbench/replay.cc reads it and the
+  /// benchmark's sources stay fixed across commits.
+  static constexpr uint64_t nogood_prunes = 0;
   uint64_t frozen_found = 0;
   /// Work-stealing driver only: pool tasks run for this search, and how
   /// many of them a worker other than the submitter executed (load

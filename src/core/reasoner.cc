@@ -98,10 +98,10 @@ ReasonerAnswer Reasoner::RunLadder(
     finish();
     return answer;
   }
-  // The shared closure cache (layer c): another request — or another
-  // Reasoner instance over the same epoch — may already have derived
-  // this verdict. A hit is promoted into the run-local map so repeats
-  // within this Reasoner skip even the shared cache's shard lock.
+  // The shared AnswerCache: another Reasoner instance over the same
+  // epoch may already have derived this verdict. A hit is promoted into
+  // the run-local map so repeats within this Reasoner skip even the
+  // shared cache's shard lock.
   if (options_.shared_cache != nullptr) {
     bool yes = false;
     if (options_.shared_cache->Lookup(options_.shared_scope + key, &yes)) {

@@ -98,7 +98,7 @@ struct ReasonerOptions {
   /// (dimsat.num_threads <= 1, no trace); other query shapes restart
   /// each rung as before.
   bool resume_from_checkpoint = true;
-  /// Cross-request closure cache (core/answer_cache.h); not owned, may
+  /// Cross-instance verdict cache (core/answer_cache.h); not owned, may
   /// be shared across Reasoners and threads. Consulted after the
   /// run-local cache misses; definitive answers are written to both.
   /// The caller owns epoch discipline via `shared_scope`.

@@ -8,9 +8,7 @@
 
 #include "common/memory_budget.h"
 #include "common/status.h"
-#include "constraint/normalize.h"
 #include "constraint/parser.h"
-#include "constraint/printer.h"
 #include "core/checkpoint.h"
 #include "core/dimsat.h"
 #include "core/implication.h"
@@ -124,12 +122,10 @@ std::string EpochScope(const Fingerprint128& epoch) {
 
 /// Marks a cache-served body on its way out. Stored bodies never carry
 /// the marker, so a hit re-served later stays byte-identical.
-HttpResponse CachedResponse(std::string body, const char* layer) {
+HttpResponse CachedResponse(std::string body) {
   if (!body.empty() && body.back() == '}') {
     body.pop_back();
-    body += ", \"cached\": true, \"cache_layer\": \"";
-    body += layer;
-    body += "\"}";
+    body += ", \"cached\": true, \"cache_layer\": \"response\"}";
   }
   if (obs::MetricsEnabled()) obs::Count("olapdc.service.cache_served");
   return JsonResponse(200, std::move(body));
@@ -292,38 +288,21 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
   auto resume = body.OptionalString("resume", "");
   if (!resume.ok()) return ErrorResponse(resume.status());
 
-  // Cache read path: response layer first (one hash lookup), then the
-  // closure layer (verdict known, body re-synthesized). Resume requests
-  // bypass reads — the client explicitly asked to continue a search —
-  // but still warm the no-good layer below.
+  // Cache read path: one hash lookup. Resume requests bypass it — the
+  // client explicitly asked to continue a search.
   ServiceCaches* const caches = options_.caches;
   const bool cacheable = caches != nullptr && resume->empty();
-  std::string closure_key, response_key;
+  std::string response_key;
   if (cacheable) {
-    closure_key = EpochScope(ctx->epoch) + "s/" + std::to_string(*root);
-    response_key = "check/" + closure_key;
+    response_key =
+        "check/" + EpochScope(ctx->epoch) + "s/" + std::to_string(*root);
     std::string cached_body;
     if (caches->LookupResponse(response_key, &cached_body)) {
-      return CachedResponse(std::move(cached_body), "response");
-    }
-    bool satisfiable = false;
-    if (caches->closure().Lookup(closure_key, &satisfiable)) {
-      std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                        ", \"category\": " + obs::JsonString(*category) +
-                        ", \"definitive\": true, \"satisfiable\": " +
-                        BoolJson(satisfiable) + ", \"expand_calls\": 0}";
-      return CachedResponse(std::move(out), "closure");
+      return CachedResponse(std::move(cached_body));
     }
   }
 
   DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (caches != nullptr) {
-    // Keep the store alive for the whole run even if its epoch is aged
-    // out of the LRU concurrently.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
-  }
   DimsatCheckpoint captured;
   DimsatResult result;
   if (!resume->empty()) {
@@ -342,7 +321,6 @@ HttpResponse DimService::DoCheck(const JsonValue& body, const Budget& budget) {
   if (result.status.ok()) {
     out += ", \"definitive\": true, \"satisfiable\": " +
            BoolJson(result.satisfiable);
-    if (cacheable) caches->closure().Insert(closure_key, result.satisfiable);
   } else if (IsBudgetError(result.status)) {
     EngineTail tail = RenderBudgetTail(result.status, &captured);
     out += tail.json;
@@ -372,56 +350,21 @@ HttpResponse DimService::DoImplies(const JsonValue& body,
   auto alpha = ParseConstraint(ctx->schema->hierarchy(), *constraint_text);
   if (!alpha.ok()) return ErrorResponse(alpha.status());
 
-  // The closure layer keys on the *canonical* form (shorthands
-  // expanded to plain path atoms, constants folded) so textually
-  // different spellings of one constraint share a verdict. The
-  // response layer keys on the raw text, because the body echoes it.
-  // An expansion failure (path_limit) just runs this request uncached.
+  // The key is the raw constraint text, because the body echoes it.
   ServiceCaches* const caches = options_.caches;
-  std::string closure_key, response_key;
-  uint64_t theory_salt = 0;
-  bool cacheable = false;
-  if (caches != nullptr) {
-    auto expanded = ExpandShorthands(ctx->schema->hierarchy(), alpha->expr);
-    if (expanded.ok()) {
-      const std::string scope = EpochScope(ctx->epoch);
-      const std::string canonical =
-          std::to_string(alpha->root) + ":" +
-          ExprToString(ctx->schema->hierarchy(), Simplify(*expanded));
-      closure_key = scope + "i/" + canonical;
-      response_key =
-          "implies/" + scope + FingerprintBytes(*constraint_text).ToHex();
-      theory_salt = FingerprintBytes(canonical).lo;
-      cacheable = true;
-      std::string cached_body;
-      if (caches->LookupResponse(response_key, &cached_body)) {
-        return CachedResponse(std::move(cached_body), "response");
-      }
-      bool implied = false;
-      if (caches->closure().Lookup(closure_key, &implied)) {
-        // Verdict-only synthesis: no "counterexample" field (the
-        // closure layer keeps verdicts, not witnesses).
-        std::string out =
-            "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-            ", \"constraint\": " + obs::JsonString(*constraint_text) +
-            ", \"definitive\": true, \"implied\": " + BoolJson(implied) +
-            ", \"expand_calls\": 0}";
-        return CachedResponse(std::move(out), "closure");
-      }
+  const bool cacheable = caches != nullptr;
+  std::string response_key;
+  if (cacheable) {
+    response_key = "implies/" + EpochScope(ctx->epoch) +
+                   FingerprintBytes(*constraint_text).ToHex();
+    std::string cached_body;
+    if (caches->LookupResponse(response_key, &cached_body)) {
+      return CachedResponse(std::move(cached_body));
     }
   }
 
-  DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (cacheable) {
-    // Implies() searches Σ ∪ {¬α}, a different theory than /v1/check's
-    // plain Σ — the salt keeps their no-good signatures apart while
-    // letting repeats of the *same* constraint share learned pruning.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
-    dopt.nogood_salt = theory_salt;
-  }
-  auto result = Implies(*ctx->schema, *alpha, dopt);
+  auto result = Implies(*ctx->schema, *alpha,
+                        EngineOptions(options_, budget, ctx->threads));
   if (!result.ok()) return ErrorResponse(result.status());
 
   std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
@@ -430,7 +373,6 @@ HttpResponse DimService::DoImplies(const JsonValue& body,
     out += ", \"definitive\": true, \"implied\": " + BoolJson(result->implied);
     out += ", \"counterexample\": " +
            BoolJson(result->counterexample.has_value());
-    if (cacheable) caches->closure().Insert(closure_key, result->implied);
   } else if (IsBudgetError(result->status)) {
     out += RenderBudgetTail(result->status, nullptr).json;
   } else {
@@ -470,52 +412,24 @@ HttpResponse DimService::DoSummarizable(const JsonValue& body,
   // over the through-atoms is order-independent, so sorting is
   // semantics-preserving; duplicates are kept — one(x, x) != one(x)).
   ServiceCaches* const caches = options_.caches;
-  std::string closure_key, response_key;
-  uint64_t theory_salt = 0;
   const bool cacheable = caches != nullptr;
+  std::string response_key;
   if (cacheable) {
     std::vector<CategoryId> sorted_sources = s;
     std::sort(sorted_sources.begin(), sorted_sources.end());
-    std::string canonical = std::to_string(*root);
+    response_key = "summarizable/" + EpochScope(ctx->epoch) + "m/" +
+                   std::to_string(*root);
     for (CategoryId id : sorted_sources) {
-      canonical += "," + std::to_string(id);
+      response_key += "," + std::to_string(id);
     }
-    closure_key = EpochScope(ctx->epoch) + "m/" + canonical;
-    response_key = "summarizable/" + closure_key;
-    theory_salt = FingerprintBytes(closure_key).lo;
     std::string cached_body;
     if (caches->LookupResponse(response_key, &cached_body)) {
-      return CachedResponse(std::move(cached_body), "response");
-    }
-    bool summarizable = false;
-    if (caches->closure().Lookup(closure_key, &summarizable)) {
-      // A cached definitive verdict always covered every bottom.
-      size_t bottoms = 0;
-      for (CategoryId bottom : ctx->schema->hierarchy().bottom_categories()) {
-        if (bottom != ctx->schema->hierarchy().all()) ++bottoms;
-      }
-      std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
-                        ", \"category\": " + obs::JsonString(*category) +
-                        ", \"definitive\": true, \"summarizable\": " +
-                        BoolJson(summarizable) +
-                        ", \"bottoms_checked\": " + std::to_string(bottoms) +
-                        ", \"expand_calls\": 0}";
-      return CachedResponse(std::move(out), "closure");
+      return CachedResponse(std::move(cached_body));
     }
   }
 
-  DimsatOptions dopt = EngineOptions(options_, budget, ctx->threads);
-  std::shared_ptr<NoGoodStore> nogoods;
-  if (cacheable) {
-    // Each per-bottom Implies() searches Σ ∪ {¬α_bottom}; α_bottom is
-    // determined by (bottom, target, sources), the salt covers
-    // (target, sources), and the bottom is the signature's root — so
-    // (salt, root) pins the exact theory of every run.
-    nogoods = caches->NoGoodsFor(ctx->epoch);
-    dopt.nogoods = nogoods.get();
-    dopt.nogood_salt = theory_salt;
-  }
-  auto result = IsSummarizable(*ctx->schema, *root, s, dopt);
+  auto result = IsSummarizable(*ctx->schema, *root, s,
+                               EngineOptions(options_, budget, ctx->threads));
   if (!result.ok()) return ErrorResponse(result.status());
 
   std::string out = "{\"schema\": " + obs::JsonString(ctx->schema_name) +
@@ -523,9 +437,6 @@ HttpResponse DimService::DoSummarizable(const JsonValue& body,
   if (result->status.ok()) {
     out += ", \"definitive\": true, \"summarizable\": " +
            BoolJson(result->summarizable);
-    if (cacheable) {
-      caches->closure().Insert(closure_key, result->summarizable);
-    }
   } else if (IsBudgetError(result->status)) {
     out += RenderBudgetTail(result->status, nullptr).json;
   } else {

@@ -84,13 +84,11 @@ class DimService {
     uint64_t max_expand_calls = UINT64_MAX;
     /// Whether POST /v1/schemas may (re)register schemas.
     bool allow_register = true;
-    /// Cross-request cache plane (service_caches.h); not owned, null
-    /// disables all caching — request handling is then bit-identical
-    /// to the uncached service. With caches attached, definitive
-    /// answers are served from the response/closure layers when the
-    /// epoch matches (marked "cached": true in the body) and every
-    /// DIMSAT run shares the epoch's no-good store. Resume requests
-    /// bypass the read path entirely but still warm the no-good layer.
+    /// Cross-request response cache (service_caches.h); not owned,
+    /// null disables caching — request handling is then bit-identical
+    /// to the uncached service. With the cache attached, definitive
+    /// answers are served from it when the epoch matches (marked
+    /// "cached": true in the body). Resume requests bypass it.
     ServiceCaches* caches = nullptr;
   };
 

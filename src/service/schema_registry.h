@@ -13,15 +13,15 @@
 #ifndef OLAPDC_SERVICE_SCHEMA_REGISTRY_H_
 #define OLAPDC_SERVICE_SCHEMA_REGISTRY_H_
 
-// The registry also owns the cache epoch model (ROADMAP item 2): every
-// entry carries a 128-bit *content fingerprint* of its serialized
-// schema + constraint theory. The epoch is part of every service-cache
-// key, so replacing a schema invalidates all cached answers for it
-// logically and atomically — entries under the old epoch can never hit
-// again and age out through the LRU. Content addressing also means a
-// replace with an identical theory keeps the caches warm (same Σ, same
-// answers) and that persisted no-good stores survive a daemon restart
-// soundly: they only ever re-attach to a byte-identical theory.
+// The registry also owns the cache epoch model: every entry carries a
+// 128-bit *content fingerprint* of its serialized schema + constraint
+// theory. The epoch is part of every response-cache key, so replacing
+// a schema invalidates all cached answers for it logically and
+// atomically — entries under the old epoch can never hit again and age
+// out through the LRU. Content addressing also means a replace with an
+// identical theory keeps the cache warm (same Σ, same answers) and
+// that snapshotted responses survive a daemon restart soundly: they
+// only ever hit against a byte-identical theory.
 
 #include <map>
 #include <memory>

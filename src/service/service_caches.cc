@@ -9,27 +9,6 @@ namespace olapdc::service {
 
 namespace {
 
-/// Parses a 32-hex-digit fingerprint (the ToHex form).
-bool ParseHex128(std::string_view hex, Fingerprint128* out) {
-  if (hex.size() != 32) return false;
-  uint64_t words[2] = {0, 0};
-  for (int i = 0; i < 32; ++i) {
-    const char c = hex[static_cast<size_t>(i)];
-    uint64_t nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-    words[i / 16] = (words[i / 16] << 4) | nibble;
-  }
-  out->hi = words[0];
-  out->lo = words[1];
-  return true;
-}
-
 std::string_view NextLine(std::string_view* rest) {
   const size_t eol = rest->find('\n');
   std::string_view line;
@@ -46,81 +25,17 @@ std::string_view NextLine(std::string_view* rest) {
 }  // namespace
 
 ServiceCaches::ServiceCaches(Options options)
-    : options_(options),
-      responses_({/*name=*/"constraint", options.num_shards,
-                  options.memory_budget_bytes == 0
-                      ? 0
-                      : options.memory_budget_bytes / 2,
-                  /*entry_overhead_bytes=*/160, &memory_}),
-      closure_({options.memory_budget_bytes == 0
-                    ? 0
-                    : options.memory_budget_bytes / 4,
-                options.num_shards, &memory_}) {
-  if (options_.max_epoch_stores == 0) options_.max_epoch_stores = 1;
-}
-
-std::shared_ptr<NoGoodStore> ServiceCaches::NoGoodsFor(
-    const Fingerprint128& epoch) {
-  std::lock_guard<std::mutex> lock(epochs_mu_);
-  for (auto it = epoch_stores_.begin(); it != epoch_stores_.end(); ++it) {
-    if (it->first == epoch) {
-      epoch_stores_.splice(epoch_stores_.begin(), epoch_stores_, it);
-      return epoch_stores_.front().second;
-    }
-  }
-  NoGoodStore::Options store_options;
-  store_options.max_bytes =
-      options_.memory_budget_bytes == 0
-          ? 0
-          : options_.memory_budget_bytes / 4 / options_.max_epoch_stores;
-  store_options.memory = &memory_;
-  epoch_stores_.emplace_front(
-      epoch, std::make_shared<NoGoodStore>(store_options));
-  while (epoch_stores_.size() > options_.max_epoch_stores) {
-    epoch_stores_.pop_back();
-  }
-  return epoch_stores_.front().second;
-}
-
-CacheStatsSnapshot ServiceCaches::NoGoodStats() const {
-  // Copy the store pointers out so the per-store shard locks are taken
-  // without holding the epoch list lock.
-  std::vector<std::shared_ptr<NoGoodStore>> stores;
-  {
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    stores.reserve(epoch_stores_.size());
-    for (const auto& [epoch, store] : epoch_stores_) stores.push_back(store);
-  }
-  CacheStatsSnapshot total;
-  for (const auto& store : stores) {
-    const CacheStatsSnapshot s = store->Stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.insertions += s.insertions;
-    total.evictions += s.evictions;
-    total.entries += s.entries;
-    total.bytes += s.bytes;
-  }
-  return total;
-}
+    : responses_({/*name=*/"constraint", options.num_shards,
+                  options.memory_budget_bytes,
+                  /*entry_overhead_bytes=*/160, &memory_}) {}
 
 void ServiceCaches::PublishGauges() const {
   if (!obs::MetricsEnabled()) return;
   const CacheStatsSnapshot response = ResponseStats();
-  const CacheStatsSnapshot closure = ClosureStats();
-  const CacheStatsSnapshot nogood = NoGoodStats();
   obs::Gauge("olapdc.cache.constraint.entries",
              static_cast<int64_t>(response.entries));
   obs::Gauge("olapdc.cache.constraint.bytes",
              static_cast<int64_t>(response.bytes));
-  obs::Gauge("olapdc.cache.closure.entries",
-             static_cast<int64_t>(closure.entries));
-  obs::Gauge("olapdc.cache.closure.bytes",
-             static_cast<int64_t>(closure.bytes));
-  obs::Gauge("olapdc.cache.nogood.entries",
-             static_cast<int64_t>(nogood.entries));
-  obs::Gauge("olapdc.cache.nogood.bytes",
-             static_cast<int64_t>(nogood.bytes));
   memory_.PublishGauges();
   // Complete-inventory rule (docs/observability.md): the aggregate
   // counter names exist from the first scrape, even at zero.
@@ -130,78 +45,13 @@ void ServiceCaches::PublishGauges() const {
   obs::Count("olapdc.cache.invalidations", 0);
 }
 
-std::string ServiceCaches::SerializeNoGoods() const {
-  std::vector<std::pair<Fingerprint128, std::shared_ptr<NoGoodStore>>> stores;
-  {
-    std::lock_guard<std::mutex> lock(epochs_mu_);
-    stores.assign(epoch_stores_.begin(), epoch_stores_.end());
-  }
-  std::string out = "olapdc-nogood-stores v1\n";
-  out += "stores " + std::to_string(stores.size()) + "\n";
-  for (const auto& [epoch, store] : stores) {
-    out += "epoch " + epoch.ToHex() + "\n";
-    out += store->Serialize();
-  }
-  return out;
-}
-
-Status ServiceCaches::LoadNoGoods(std::string_view text) {
-  std::string_view rest = text;
-  if (NextLine(&rest) != "olapdc-nogood-stores v1") {
-    return Status::ParseError(
-        "no-good persistence must start with \"olapdc-nogood-stores v1\"");
-  }
-  std::string_view count_line = NextLine(&rest);
-  constexpr std::string_view kStores = "stores ";
-  if (count_line.substr(0, kStores.size()) != kStores ||
-      count_line.size() == kStores.size()) {
-    return Status::ParseError("no-good persistence missing \"stores K\"");
-  }
-  uint64_t expected = 0;
-  for (const char c : count_line.substr(kStores.size())) {
-    if (c < '0' || c > '9') {
-      return Status::ParseError("malformed store count");
-    }
-    expected = expected * 10 + static_cast<uint64_t>(c - '0');
-    if (expected > 4096) {
-      return Status::ParseError("implausible store count");
-    }
-  }
-  // Parse everything into uncapped staging stores first; the live
-  // per-epoch stores are only touched after the whole text validated,
-  // so adversarial input (truncated mid-record, mangled hex, an
-  // oversized count header) can never half-load learned pruning.
-  std::vector<std::pair<Fingerprint128, std::unique_ptr<NoGoodStore>>> staged;
-  for (uint64_t i = 0; i < expected; ++i) {
-    std::string_view epoch_line = NextLine(&rest);
-    constexpr std::string_view kEpoch = "epoch ";
-    Fingerprint128 epoch;
-    if (epoch_line.substr(0, kEpoch.size()) != kEpoch ||
-        !ParseHex128(epoch_line.substr(kEpoch.size()), &epoch)) {
-      return Status::ParseError("malformed epoch at store " +
-                                std::to_string(i));
-    }
-    NoGoodStore::Options staging_options;
-    staging_options.max_bytes = 0;  // uncapped: staging must not evict
-    staging_options.memory = nullptr;
-    auto store = std::make_unique<NoGoodStore>(staging_options);
-    size_t consumed = 0;
-    OLAPDC_RETURN_NOT_OK(store->Load(rest, &consumed));
-    rest = rest.substr(consumed);
-    staged.emplace_back(epoch, std::move(store));
-  }
-  for (auto& [epoch, store] : staged) {
-    const std::shared_ptr<NoGoodStore> target = NoGoodsFor(epoch);
-    store->ForEach([&](const Fingerprint128& sig) { target->Record(sig); });
-  }
-  return Status::OK();
-}
-
-std::string ServiceCaches::SerializeResponses(size_t max_entries) const {
+std::string ServiceCaches::SerializeResponses(size_t max_entries,
+                                              size_t* written) const {
   std::vector<std::pair<std::string, std::string>> entries;
   responses_.ForEach([&](const std::string& key, const std::string& body) {
     if (entries.size() < max_entries) entries.emplace_back(key, body);
   });
+  if (written != nullptr) *written = entries.size();
   std::string out = "olapdc-responses v1\n";
   out += "entries " + std::to_string(entries.size()) + "\n";
   for (const auto& [key, body] : entries) {

@@ -62,25 +62,25 @@ bool ParseKeyedU64(std::string_view line, std::string_view key,
 std::vector<std::string> BuildSnapshotRecords(uint64_t seq,
                                               const SchemaRegistry& registry,
                                               const ServiceCaches& caches,
-                                              const SnapshotOptions& options) {
-  std::vector<std::string> records;
-  records.reserve(4);
+                                              const SnapshotOptions& options,
+                                              uint64_t* response_entries) {
+  size_t written = 0;
+  std::string responses =
+      "section responses\n" +
+      caches.SerializeResponses(options.max_response_entries, &written);
+  if (response_entries != nullptr) *response_entries = written;
 
-  std::string meta = "olapdc-snapshot v1\n";
-  meta += "seq " + std::to_string(seq) + "\n";
-  meta +=
-      "nogood_entries " + std::to_string(caches.NoGoodEntryCount()) + "\n";
-  records.push_back(std::move(meta));
+  std::vector<std::string> records;
+  records.reserve(3);
+  records.push_back("olapdc-snapshot v1\nseq " + std::to_string(seq) +
+                    "\nresponse_entries " + std::to_string(written) + "\n");
 
   std::string epochs = "section epochs\n";
   for (const auto& [name, epoch] : registry.Epochs()) {
     epochs += epoch.ToHex() + " " + name + "\n";
   }
   records.push_back(std::move(epochs));
-
-  records.push_back("section nogoods\n" + caches.SerializeNoGoods());
-  records.push_back("section responses\n" +
-                    caches.SerializeResponses(options.max_response_entries));
+  records.push_back(std::move(responses));
   return records;
 }
 
@@ -95,9 +95,15 @@ Result<SnapshotRestore> LoadSnapshotRecords(
         "snapshot meta record must start with \"olapdc-snapshot v1\"");
   }
   SnapshotRestore restore;
-  if (!ParseKeyedU64(NextLine(&meta), "seq ", &restore.seq) ||
-      !ParseKeyedU64(NextLine(&meta), "nogood_entries ",
-                     &restore.nogood_entries)) {
+  const bool seq_ok = ParseKeyedU64(NextLine(&meta), "seq ", &restore.seq);
+  const std::string_view count_line = NextLine(&meta);
+  // Legacy meta: snapshots written while a no-good store existed carry
+  // "nogood_entries K" instead; K counted no-goods, so it is dropped.
+  uint64_t legacy_nogoods = 0;
+  if (!seq_ok ||
+      !(ParseKeyedU64(count_line, "response_entries ",
+                      &restore.response_entries) ||
+        ParseKeyedU64(count_line, "nogood_entries ", &legacy_nogoods))) {
     return Status::ParseError("snapshot meta record malformed");
   }
 
@@ -125,12 +131,11 @@ Result<SnapshotRestore> LoadSnapshotRecords(
         restore.epochs = std::move(epochs);
         restore.loaded_epochs = true;
       }
-    } else if (header == "section nogoods") {
-      if (caches->LoadNoGoods(rest).ok()) restore.loaded_nogoods = true;
     } else if (header == "section responses") {
       if (caches->LoadResponses(rest).ok()) restore.loaded_responses = true;
     }
-    // Unknown section headers are forward compatibility: skipped.
+    // Unknown section headers are forward compatibility: skipped. So is
+    // the legacy "section nogoods" record of older snapshots.
   }
   return restore;
 }

@@ -4,19 +4,19 @@
 // A snapshot is a durable file (io/durable_file.h) whose records are
 // the `olapdc-snapshot v1` layout:
 //
-//   record 0 — meta:      "olapdc-snapshot v1\nseq N\nnogood_entries K\n"
+//   record 0 — meta:      "olapdc-snapshot v1\nseq N\nresponse_entries K\n"
+//                         (K = entries in the responses record)
 //   record 1 — epochs:    "section epochs\n" + one "<hex32> <name>\n"
 //                         line per registered schema
-//   record 2 — no-goods:  "section nogoods\n" + SerializeNoGoods text
-//   record 3 — responses: "section responses\n" + SerializeResponses
+//   record 2 — responses: "section responses\n" + SerializeResponses
 //                         text (the warm set, capped by the builder)
 //
 // Because each record is independently CRC-framed, a kill -9 (or a
 // lost tail page) mid-write can only cost whole trailing records: a
-// snapshot torn after the no-good record still restores the no-goods
-// and simply starts the response cache cold. Sections are also loaded
-// all-or-nothing internally (ServiceCaches::Load* are staged), so a
-// bit flip that survives framing still can't half-load a layer.
+// snapshot torn after the epochs record still restores the epochs and
+// simply starts the response cache cold. The responses section is also
+// loaded all-or-nothing (ServiceCaches::LoadResponses is staged), so a
+// bit flip that survives framing still can't half-load the cache.
 //
 // Recovery is the mirror: read with torn-tail truncation, verify the
 // meta record, then apply every intact section. The per-section salvage
@@ -45,20 +45,21 @@ struct SnapshotOptions {
 
 /// Builds the `olapdc-snapshot v1` record sequence for
 /// WriteDurableFile. `seq` is the monotone snapshot sequence number
-/// (the daemon's, not the file's).
+/// (the daemon's, not the file's). `response_entries` (optional)
+/// receives K, the number of entries written to the responses record.
 std::vector<std::string> BuildSnapshotRecords(
     uint64_t seq, const SchemaRegistry& registry, const ServiceCaches& caches,
-    const SnapshotOptions& options = SnapshotOptions{});
+    const SnapshotOptions& options = SnapshotOptions{},
+    uint64_t* response_entries = nullptr);
 
 struct SnapshotRestore {
   /// seq of the snapshot that was loaded.
   uint64_t seq = 0;
-  /// No-good entry count recorded at snapshot time (meta record) —
-  /// the crash harness's monotonicity witness.
-  uint64_t nogood_entries = 0;
+  /// Response entry count recorded at snapshot time (meta record); 0
+  /// for a snapshot whose meta predates the count.
+  uint64_t response_entries = 0;
   /// Sections that were intact and applied.
   bool loaded_epochs = false;
-  bool loaded_nogoods = false;
   bool loaded_responses = false;
   /// (name, epoch) pairs from the epochs section, for logging.
   std::vector<std::pair<std::string, Fingerprint128>> epochs;

@@ -1,18 +1,14 @@
-// Tests for the cross-request cache substrate (ROADMAP item 2):
-// common/cache_shard.h (Fingerprinter + ShardedCache), the shared
-// implication-closure AnswerCache, the SchemaRegistry epoch model that
-// keys every layer, and the ServiceCaches envelope (layer isolation,
-// per-epoch no-good store aging, persistence container).
+// Tests for the cross-request cache substrate:
+// common/cache_shard.h (Fingerprinter + ShardedCache), the Reasoner's
+// shared AnswerCache, the SchemaRegistry epoch model that keys every
+// entry, and the ServiceCaches response cache.
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cache_shard.h"
 #include "core/answer_cache.h"
 #include "core/location_example.h"
-#include "core/nogood.h"
-#include "core/subhierarchy.h"
 #include "gtest/gtest.h"
 #include "io/schema_io.h"
 #include "service/schema_registry.h"
@@ -199,62 +195,6 @@ TEST(SchemaRegistryEpochTest, EpochIsContentAddressed) {
 
 // ---------------------------------------------------------------------------
 // ServiceCaches
-
-TEST(ServiceCachesTest, ResponseLayerIsIsolatedFromTheOthers) {
-  service::ServiceCaches caches;
-  caches.InsertResponse("check/e1/s/3", "{\"x\": 1}");
-  caches.closure().Insert("e1/s/3", true);
-  std::string body;
-  ASSERT_TRUE(caches.LookupResponse("check/e1/s/3", &body));
-  EXPECT_EQ(body, "{\"x\": 1}");
-
-  caches.ClearResponses();
-  EXPECT_FALSE(caches.LookupResponse("check/e1/s/3", &body));
-  bool yes = false;
-  EXPECT_TRUE(caches.closure().Lookup("e1/s/3", &yes));
-}
-
-TEST(ServiceCachesTest, NoGoodStoresAreSharedPerEpochAndAgeOut) {
-  service::ServiceCaches::Options options;
-  options.max_epoch_stores = 2;
-  service::ServiceCaches caches(options);
-  const Fingerprint128 e1 = FingerprintBytes("epoch-1");
-  const Fingerprint128 e2 = FingerprintBytes("epoch-2");
-  const Fingerprint128 e3 = FingerprintBytes("epoch-3");
-
-  std::shared_ptr<NoGoodStore> s1 = caches.NoGoodsFor(e1);
-  const Fingerprint128 sig = FingerprintBytes("some-subtree");
-  s1->Record(sig);
-  // Same epoch -> the same store, with the learned entry.
-  EXPECT_TRUE(caches.NoGoodsFor(e1)->Probe(sig));
-
-  // Two more epochs push e1 past max_epoch_stores; asking again gets a
-  // fresh, empty store (the old learning aged out with its epoch).
-  caches.NoGoodsFor(e2);
-  caches.NoGoodsFor(e3);
-  EXPECT_FALSE(caches.NoGoodsFor(e1)->Probe(sig));
-  // The aged-out handle stays safely usable by whoever still holds it.
-  EXPECT_TRUE(s1->Probe(sig));
-}
-
-TEST(ServiceCachesTest, NoGoodPersistenceRoundTripsPerEpoch) {
-  service::ServiceCaches caches;
-  const Fingerprint128 e1 = FingerprintBytes("epoch-1");
-  const Fingerprint128 e2 = FingerprintBytes("epoch-2");
-  const Fingerprint128 sig1 = FingerprintBytes("subtree-1");
-  const Fingerprint128 sig2 = FingerprintBytes("subtree-2");
-  caches.NoGoodsFor(e1)->Record(sig1);
-  caches.NoGoodsFor(e2)->Record(sig2);
-
-  const std::string blob = caches.SerializeNoGoods();
-  service::ServiceCaches restored;
-  ASSERT_TRUE(restored.LoadNoGoods(blob).ok());
-  EXPECT_TRUE(restored.NoGoodsFor(e1)->Probe(sig1));
-  EXPECT_FALSE(restored.NoGoodsFor(e1)->Probe(sig2));
-  EXPECT_TRUE(restored.NoGoodsFor(e2)->Probe(sig2));
-
-  EXPECT_FALSE(restored.LoadNoGoods("not a store container").ok());
-}
 
 TEST(ServiceCachesTest, TinyBudgetEvictsButKeepsAdmitting) {
   service::ServiceCaches::Options options;

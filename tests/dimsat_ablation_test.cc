@@ -4,8 +4,7 @@
 // produce the same canonical frozen-dimension set as the baseline
 // search — across the seeded random corpus, the multi-component
 // workloads that actually trigger decomposition, both witness and
-// enumerate modes, with and without no-good stores, and across
-// checkpoint interrupt/resume chains.
+// enumerate modes, and across checkpoint interrupt/resume chains.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "core/decompose.h"
 #include "core/dimsat.h"
 #include "core/location_example.h"
-#include "core/nogood.h"
 #include "tests/test_util.h"
 #include "workload/schema_generator.h"
 
@@ -126,39 +124,6 @@ TEST_P(AblationCorpusTest, EveryTechniquePreservesTheModelSet) {
   }
 }
 
-TEST_P(AblationCorpusTest, TechniquesComposeWithNoGoodStores) {
-  const int seed = GetParam();
-  const DimensionSchema ds =
-      seed % 2 == 0 ? MultiComponentSchema(seed, 2) : RandomSchema(seed);
-  const CategoryId base = ds.hierarchy().FindCategory("Base");
-  ASSERT_NE(base, kNoCategory);
-
-  DimsatOptions baseline_options;
-  baseline_options.enumerate_all = true;
-  baseline_options.decompose = false;
-  baseline_options.branch_heuristic = false;
-  const DimsatResult baseline = Dimsat(ds, base, baseline_options);
-  ASSERT_OK(baseline.status);
-  const std::vector<std::string> want =
-      Canonical(baseline.frozen, ds.hierarchy());
-
-  // A warm store must not change the model set either: component
-  // searches salt their signatures away from the monolithic space.
-  NoGoodStore store;
-  for (int round = 0; round < 2; ++round) {
-    DimsatOptions options;
-    options.enumerate_all = true;
-    options.decompose = true;
-    options.branch_heuristic = true;
-    options.nogoods = &store;
-    const DimsatResult got = Dimsat(ds, base, options);
-    ASSERT_TRUE(got.status.ok())
-        << "round " << round << ": " << got.status.ToString();
-    EXPECT_EQ(Canonical(got.frozen, ds.hierarchy()), want)
-        << "round " << round << " seed " << seed;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Corpus, AblationCorpusTest,
                          ::testing::Range(0, 24));
 
@@ -170,16 +135,15 @@ TEST(DecomposeSplitTest, MultiComponentSchemasSplitAsBuilt) {
     for (const DimensionConstraint* c : ds.RelevantConstraints(base)) {
       relevant.push_back(*c);
     }
-    const ComponentSplit split =
-        ComputeComponentSplit(ds, base, relevant, /*nogood_salt=*/0);
+    const ComponentSplit split = ComputeComponentSplit(ds, base, relevant);
     ASSERT_TRUE(split.eligible) << split.ineligible_reason;
     EXPECT_EQ(static_cast<int>(split.num_components()), components);
     // Base's edges carry no constraints, so every component may be
-    // absent and salts must be pairwise distinct.
+    // absent, and two universes share only Base and All.
     for (size_t k = 0; k < split.num_components(); ++k) {
       EXPECT_TRUE(split.absent_valid[k]);
       for (size_t j = k + 1; j < split.num_components(); ++j) {
-        EXPECT_NE(split.salts[k], split.salts[j]);
+        EXPECT_EQ((split.universes[k] & split.universes[j]).count(), 2);
       }
     }
   }

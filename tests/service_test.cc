@@ -384,19 +384,6 @@ TEST_F(ServiceTest, CacheHitAfterMissServesMarkedResponse) {
             truth);
   EXPECT_EQ(Counter("olapdc.service.cache_served"), served_before + 1);
 
-  // With the response layer flushed, the closure layer still knows the
-  // verdict: the served body is synthesized, with zero engine work.
-  caches.ClearResponses();
-  HttpResponse closure = service.HandleRequest(Post("/v1/check", body));
-  ASSERT_EQ(closure.status, 200);
-  EXPECT_NE(closure.body.find("\"cache_layer\": \"closure\""),
-            std::string::npos)
-      << closure.body;
-  EXPECT_NE(closure.body.find("\"expand_calls\": 0"), std::string::npos)
-      << closure.body;
-  EXPECT_EQ(closure.body.find("\"satisfiable\": true") != std::string::npos,
-            truth);
-
   // The other two ops memoize the same way.
   const std::string implies =
       "{\"schema\": \"loc\", \"constraint\": \"Store/City\"}";

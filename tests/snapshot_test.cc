@@ -1,10 +1,11 @@
 // service/snapshot.h: the olapdc-snapshot v1 build/restore cycle, its
-// per-section salvage, and the all-or-nothing contract of the
-// underlying ServiceCaches::LoadNoGoods / LoadResponses parsers —
-// including the committed adversarial corpus in
-// tests/data/corrupt_snapshots/ (truncated mid-record, mangled hex,
-// oversized counts, wrong magic): every corpus file must ParseError
-// and load *nothing*, never a partial store.
+// per-section salvage, the reading of snapshots written before the
+// no-good store was removed, and the all-or-nothing contract of the
+// underlying ServiceCaches::LoadResponses parser — including the
+// committed adversarial corpus in tests/data/corrupt_snapshots/
+// (truncated mid-record, malformed sizes, oversized counts, wrong
+// magic): every corpus file must ParseError and load *nothing*, never
+// a partial warm set.
 
 #include "service/snapshot.h"
 
@@ -16,6 +17,8 @@
 #include "common/status.h"
 #include "gtest/gtest.h"
 #include "io/durable_file.h"
+#include "obs/http_server.h"
+#include "service/dim_service.h"
 #include "service/schema_registry.h"
 #include "service/service_caches.h"
 
@@ -29,76 +32,132 @@ std::string ReadFileOrDie(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-Fingerprint128 Sig(uint64_t hi, uint64_t lo) {
-  Fingerprint128 sig;
-  sig.hi = hi;
-  sig.lo = lo;
-  return sig;
+std::string LocationText() {
+  return ReadFileOrDie(std::string(OLAPDC_SOURCE_DIR) +
+                       "/data/location.olapdc");
 }
 
-/// A registry with the shipped location schema, plus caches warmed
-/// with two no-goods under its epoch and one cached response.
+/// A registry with the shipped location schema, plus a response cache
+/// warmed with two responses under its epoch.
 struct Fixture {
   SchemaRegistry registry;
   ServiceCaches caches;
   Fingerprint128 epoch;
 
   Fixture() {
-    const std::string text =
-        ReadFileOrDie(std::string(OLAPDC_SOURCE_DIR) +
-                      "/data/location.olapdc");
-    EXPECT_TRUE(registry.Register("loc", text).ok());
+    EXPECT_TRUE(registry.Register("loc", LocationText()).ok());
     epoch = registry.FindEntry("loc").epoch;
-    const auto store = caches.NoGoodsFor(epoch);
-    store->Record(Sig(0x1111, 0x2222));
-    store->Record(Sig(0x3333, 0x4444));
     caches.InsertResponse("check|" + epoch.ToHex() + "|loc",
                           "{\"satisfiable\": true}");
+    caches.InsertResponse("check|" + epoch.ToHex() + "|loc2",
+                          "{\"satisfiable\": false}");
   }
 };
 
 TEST(SnapshotTest, BuildLoadRoundTrip) {
   Fixture fix;
-  const std::vector<std::string> records =
-      BuildSnapshotRecords(/*seq=*/42, fix.registry, fix.caches);
-  ASSERT_EQ(records.size(), 4u);  // meta, epochs, nogoods, responses
+  uint64_t written = 0;
+  const std::vector<std::string> records = BuildSnapshotRecords(
+      /*seq=*/42, fix.registry, fix.caches, SnapshotOptions{}, &written);
+  ASSERT_EQ(records.size(), 3u);  // meta, epochs, responses
+  EXPECT_EQ(written, 2u);
 
   ServiceCaches fresh;
   auto restore = LoadSnapshotRecords(records, &fresh);
   ASSERT_TRUE(restore.ok()) << restore.status().message();
   EXPECT_EQ(restore->seq, 42u);
-  EXPECT_EQ(restore->nogood_entries, 2u);
+  EXPECT_EQ(restore->response_entries, 2u);
   EXPECT_TRUE(restore->loaded_epochs);
-  EXPECT_TRUE(restore->loaded_nogoods);
   EXPECT_TRUE(restore->loaded_responses);
   ASSERT_EQ(restore->epochs.size(), 1u);
   EXPECT_EQ(restore->epochs[0].first, "loc");
   EXPECT_EQ(restore->epochs[0].second, fix.epoch);
 
-  EXPECT_EQ(fresh.NoGoodEntryCount(), 2u);
-  EXPECT_TRUE(fresh.NoGoodsFor(fix.epoch)->Probe(Sig(0x1111, 0x2222)));
+  EXPECT_EQ(fresh.ResponseStats().entries, 2u);
   std::string body;
   ASSERT_TRUE(fresh.LookupResponse("check|" + fix.epoch.ToHex() + "|loc",
                                    &body));
   EXPECT_EQ(body, "{\"satisfiable\": true}");
 }
 
+TEST(SnapshotTest, MetaCountsOnlyTheEntriesWritten) {
+  Fixture fix;
+  SnapshotOptions options;
+  options.max_response_entries = 1;
+  uint64_t written = 0;
+  const std::vector<std::string> records = BuildSnapshotRecords(
+      /*seq=*/3, fix.registry, fix.caches, options, &written);
+  EXPECT_EQ(written, 1u);
+
+  ServiceCaches fresh;
+  auto restore = LoadSnapshotRecords(records, &fresh);
+  ASSERT_TRUE(restore.ok());
+  EXPECT_EQ(restore->response_entries, 1u);
+  EXPECT_EQ(fresh.ResponseStats().entries, 1u);
+}
+
 TEST(SnapshotTest, TornTailLosesOnlyTrailingSections) {
   Fixture fix;
   std::vector<std::string> records =
       BuildSnapshotRecords(/*seq=*/7, fix.registry, fix.caches);
-  // A kill -9 that tore off the responses record: the no-goods still
+  // A kill -9 that tore off the responses record: the epochs still
   // restore, only the response cache starts cold.
-  records.resize(3);
+  records.resize(2);
 
   ServiceCaches fresh;
   auto restore = LoadSnapshotRecords(records, &fresh);
   ASSERT_TRUE(restore.ok());
   EXPECT_TRUE(restore->loaded_epochs);
-  EXPECT_TRUE(restore->loaded_nogoods);
   EXPECT_FALSE(restore->loaded_responses);
-  EXPECT_EQ(fresh.NoGoodEntryCount(), 2u);
   EXPECT_EQ(fresh.ResponseStats().entries, 0u);
+}
+
+/// A snapshot written by the daemon while it still kept a DIMSAT
+/// no-good store: its meta record says "nogood_entries K" and it
+/// carries a "section nogoods" record between the epochs and the
+/// responses. The reader skips both and restores the rest, and the
+/// restored responses serve hits against the same schema content.
+/// The fixture holds the five answers of a daemon that served three
+/// checks (Store, City, SaleRegion), one implies and one summarizable
+/// on the location schema, then drained.
+TEST(SnapshotTest, LegacySnapshotWithNoGoodsRestoresEpochsAndResponses) {
+  constexpr uint64_t kLegacyResponses = 5;
+  auto read = ReadDurableFile(std::string(OLAPDC_SOURCE_DIR) +
+                              "/tests/data/snapshot_with_nogoods.olapdc");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->records.size(), 4u);
+  ASSERT_EQ(read->records[0].find("nogood_entries "),
+            std::string("olapdc-snapshot v1\nseq 1\n").size());
+  ASSERT_EQ(read->records[2].rfind("section nogoods\n", 0), 0u);
+
+  ServiceCaches fresh;
+  auto restore = LoadSnapshotRecords(read->records, &fresh);
+  ASSERT_TRUE(restore.ok()) << restore.status().ToString();
+  EXPECT_EQ(restore->response_entries, 0u);
+  EXPECT_TRUE(restore->loaded_epochs);
+  EXPECT_TRUE(restore->loaded_responses);
+  EXPECT_EQ(fresh.ResponseStats().entries, kLegacyResponses);
+
+  SchemaRegistry registry;
+  ASSERT_TRUE(registry.Register("loc", LocationText()).ok());
+  ASSERT_EQ(restore->epochs.size(), 1u);
+  EXPECT_EQ(restore->epochs[0].first, "loc");
+  EXPECT_EQ(restore->epochs[0].second, registry.FindEntry("loc").epoch);
+
+  DimService::Options options;
+  options.registry = &registry;
+  options.caches = &fresh;
+  DimService service(options);
+  obs::HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/check";
+  request.body = "{\"schema\": \"loc\", \"category\": \"Store\"}";
+  const obs::HttpResponse response = service.HandleRequest(request);
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_NE(response.body.find("\"cached\": true"), std::string::npos)
+      << response.body;
+  EXPECT_NE(response.body.find("\"satisfiable\": true"), std::string::npos)
+      << response.body;
 }
 
 TEST(SnapshotTest, MetaRecordIsMandatory) {
@@ -120,18 +179,18 @@ TEST(SnapshotTest, MalformedIntactSectionIsSkippedNotPartiallyLoaded) {
   std::vector<std::string> records =
       BuildSnapshotRecords(/*seq=*/7, fix.registry, fix.caches);
   // A bit flip that survived CRC framing (or a buggy writer): the
-  // no-good section parses up to a mangled signature. The section is
-  // dropped whole; the later responses section still loads.
-  const size_t tail = records[2].size() - 10;
-  records[2].replace(tail, 1, "Z");
+  // responses section parses its first entry, then hits a mangled size
+  // line. The section is dropped whole; the epochs section still loads.
+  const size_t second_entry = records[2].find("}\n") + 2;
+  ASSERT_LT(second_entry, records[2].size());
+  records[2][second_entry] = 'x';
 
   ServiceCaches fresh;
   auto restore = LoadSnapshotRecords(records, &fresh);
   ASSERT_TRUE(restore.ok());
-  EXPECT_FALSE(restore->loaded_nogoods);
-  EXPECT_EQ(fresh.NoGoodEntryCount(), 0u);  // all-or-nothing
-  EXPECT_TRUE(restore->loaded_responses);
-  EXPECT_EQ(fresh.ResponseStats().entries, 1u);
+  EXPECT_TRUE(restore->loaded_epochs);
+  EXPECT_FALSE(restore->loaded_responses);
+  EXPECT_EQ(fresh.ResponseStats().entries, 0u);  // all-or-nothing
 }
 
 TEST(SnapshotTest, UnknownSectionsAreForwardCompatible) {
@@ -143,7 +202,7 @@ TEST(SnapshotTest, UnknownSectionsAreForwardCompatible) {
   ServiceCaches fresh;
   auto restore = LoadSnapshotRecords(records, &fresh);
   ASSERT_TRUE(restore.ok());
-  EXPECT_TRUE(restore->loaded_nogoods);
+  EXPECT_TRUE(restore->loaded_epochs);
   EXPECT_TRUE(restore->loaded_responses);
 }
 
@@ -171,14 +230,14 @@ TEST(SnapshotTest, SurvivesDurableFileTornTailEndToEnd) {
   auto restore = LoadSnapshotRecords(read->records, &fresh);
   ASSERT_TRUE(restore.ok());
   EXPECT_EQ(restore->seq, 9u);
-  EXPECT_TRUE(restore->loaded_nogoods);
+  EXPECT_TRUE(restore->loaded_epochs);
   EXPECT_FALSE(restore->loaded_responses);
-  EXPECT_EQ(fresh.NoGoodEntryCount(), 2u);
+  EXPECT_EQ(fresh.ResponseStats().entries, 0u);
 }
 
 /// Every file in the committed corpus must be rejected with ParseError
 /// and load nothing — a truncated or corrupted snapshot section can
-/// never half-populate a cache layer.
+/// never half-populate the response cache.
 TEST(SnapshotTest, CorruptCorpusNeverPartiallyLoads) {
   const std::filesystem::path dir =
       std::filesystem::path(OLAPDC_SOURCE_DIR) / "tests" / "data" /
@@ -188,12 +247,9 @@ TEST(SnapshotTest, CorruptCorpusNeverPartiallyLoads) {
     const std::string name = entry.path().filename().string();
     const std::string text = ReadFileOrDie(entry.path().string());
     ServiceCaches fresh;
-    Status status = name.rfind("responses_", 0) == 0
-                        ? fresh.LoadResponses(text)
-                        : fresh.LoadNoGoods(text);
+    const Status status = fresh.LoadResponses(text);
     EXPECT_FALSE(status.ok()) << name;
     EXPECT_EQ(status.code(), StatusCode::kParseError) << name;
-    EXPECT_EQ(fresh.NoGoodEntryCount(), 0u) << name;
     EXPECT_EQ(fresh.ResponseStats().entries, 0u) << name;
     ++checked;
   }
@@ -202,29 +258,8 @@ TEST(SnapshotTest, CorruptCorpusNeverPartiallyLoads) {
   EXPECT_GE(checked, 10u);
 }
 
-TEST(SnapshotTest, LoadNoGoodsRejectsEveryTruncationAtomically) {
-  Fixture fix;
-  const std::string full = fix.caches.SerializeNoGoods();
-  // Any prefix that cuts into the store body must fail whole. (The
-  // final newline alone is cosmetic — the last signature line parses
-  // without it — so the cuts start one byte deeper.)
-  for (const size_t cut :
-       {full.size() - 2, full.size() - 17, full.size() / 2}) {
-    ServiceCaches fresh;
-    const Status status = fresh.LoadNoGoods(full.substr(0, cut));
-    EXPECT_FALSE(status.ok()) << "cut=" << cut;
-    EXPECT_EQ(fresh.NoGoodEntryCount(), 0u) << "cut=" << cut;
-  }
-  // The untruncated text still loads, proving the loop above was
-  // exercising real content.
-  ServiceCaches fresh;
-  ASSERT_TRUE(fresh.LoadNoGoods(full).ok());
-  EXPECT_EQ(fresh.NoGoodEntryCount(), 2u);
-}
-
 TEST(SnapshotTest, LoadResponsesIsAtomicUnderTruncation) {
   Fixture fix;
-  fix.caches.InsertResponse("second-key", "second-body");
   const std::string full = fix.caches.SerializeResponses(/*max_entries=*/16);
   for (size_t cut = full.size() - 1; cut > full.size() - 8; --cut) {
     ServiceCaches fresh;

@@ -70,9 +70,10 @@
 //   B. recovered warm answers equal the cold recomputation: the probe
 //      set (check / implies / summarizable) must return exactly the
 //      ground truth computed in-process before any kill;
-//   C. the learned no-good count is monotone across *clean* restarts:
-//      what a graceful shutdown reports saved, the next startup must
-//      recover (kill -9 may lose un-snapshotted tail learning; a clean
+//   C. a *clean* restart recovers exactly the response count the drain
+//      saved: what a graceful shutdown reports written to the
+//      snapshot's responses section, the next startup must report
+//      resident (kill -9 may lose the un-snapshotted warm set; a clean
 //      drain may not).
 //
 // --crash runs the grid after the classic in-process sweep and embeds
@@ -1083,7 +1084,7 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
   }
 
   // The hammer mix: the probes plus short- and 1ms-deadline checks
-  // (checkpoints, no-good learning) so kills land mid-reasoning and
+  // (checkpoints, cache fills) so kills land mid-reasoning and
   // mid-snapshot with real cache state on the line.
   std::vector<std::pair<std::string, std::string>> load_shapes;
   for (const CrashProbe& p : probes) load_shapes.emplace_back(p.path, p.body);
@@ -1107,19 +1108,19 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
                     "30000", "--drain-timeout-ms", "4000"});
 
   std::mt19937_64 rng(cfg.seed);
-  int64_t last_clean_nogoods = -1;
+  int64_t last_clean_responses = -1;
   bool ever_salvaged = false;
 
   for (int round = 0; round < cfg.kills; ++round) {
     const bool fault_round = round % 7 == 3;
     // Every 8th round ends in a graceful SIGTERM instead of SIGKILL —
-    // the monotonicity anchor: what that drain reports saved, the very
-    // next startup must recover.
+    // the warm-set anchor: what that drain reports saved, the very next
+    // startup must recover.
     const bool clean_round = round % 8 == 5;
     // Harness-side corruption: bit-flip or torn-truncate the snapshot
     // before restart (never between a clean save and its monotonicity
     // check — corruption legitimately loses records).
-    if (last_clean_nogoods < 0 && round % 4 == 2) {
+    if (last_clean_responses < 0 && round % 4 == 2) {
       std::fstream file(snap,
                         std::ios::binary | std::ios::in | std::ios::out);
       file.seekg(0, std::ios::end);
@@ -1169,16 +1170,16 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
     // the previous round left the snapshot in.
     int port = 0;
     bool recovered = false;
-    unsigned long long r_seq = 0, r_nogoods = 0, r_torn = 0, r_crc = 0;
+    unsigned long long r_seq = 0, r_responses = 0, r_torn = 0, r_crc = 0;
     {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
       std::string line;
       while (port == 0 && CrashReadLine(&daemon, deadline, &line)) {
         if (std::sscanf(line.c_str(),
-                        "olapdcd recovered snapshot seq=%llu nogoods=%llu "
+                        "olapdcd recovered snapshot seq=%llu responses=%llu "
                         "torn=%llu crc_drops=%llu",
-                        &r_seq, &r_nogoods, &r_torn, &r_crc) == 4) {
+                        &r_seq, &r_responses, &r_torn, &r_crc) == 4) {
           recovered = true;
         }
         std::sscanf(line.c_str(), "olapdcd listening on port %d", &port);
@@ -1199,20 +1200,20 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
       grid->torn_tail_recoveries += static_cast<int>(r_torn);
       grid->crc_drop_recoveries += static_cast<int>(r_crc);
       if (r_torn > 0 || r_crc > 0) ever_salvaged = true;
-      // Invariant C: learned pruning never goes backwards across a
-      // clean restart.
-      if (last_clean_nogoods >= 0 &&
-          static_cast<int64_t>(r_nogoods) < last_clean_nogoods) {
-        violate(round, "no-good count went backwards across a clean "
-                       "restart: saved " +
-                           std::to_string(last_clean_nogoods) +
-                           ", recovered " + std::to_string(r_nogoods));
+      // Invariant C: a clean restart recovers exactly the warm set the
+      // drain saved.
+      if (last_clean_responses >= 0 &&
+          static_cast<int64_t>(r_responses) != last_clean_responses) {
+        violate(round, "response count changed across a clean restart: "
+                       "saved " +
+                           std::to_string(last_clean_responses) +
+                           ", recovered " + std::to_string(r_responses));
       }
-    } else if (last_clean_nogoods >= 0) {
+    } else if (last_clean_responses >= 0) {
       violate(round, "clean shutdown saved a snapshot but the next "
                      "startup recovered nothing");
     }
-    last_clean_nogoods = -1;
+    last_clean_responses = -1;
 
     // Invariant B: warm answers equal the cold ground truth.
     {
@@ -1252,15 +1253,15 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
       stop.store(true, std::memory_order_relaxed);
       hammer.join();
       ::kill(daemon.pid, SIGTERM);
-      unsigned long long s_seq = 0, s_nogoods = 0;
+      unsigned long long s_seq = 0, s_responses = 0;
       bool saved = false;
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
       std::string line;
       while (CrashReadLine(&daemon, deadline, &line)) {
         if (std::sscanf(line.c_str(),
-                        "olapdcd snapshot saved seq=%llu nogoods=%llu",
-                        &s_seq, &s_nogoods) == 2) {
+                        "olapdcd snapshot saved seq=%llu responses=%llu",
+                        &s_seq, &s_responses) == 2) {
           saved = true;
         }
       }
@@ -1272,7 +1273,7 @@ int RunCrashGrid(const CrashConfig& cfg, CrashGrid* grid) {
                 "graceful shutdown exited " + std::to_string(code));
       }
       if (saved) {
-        last_clean_nogoods = static_cast<int64_t>(s_nogoods);
+        last_clean_responses = static_cast<int64_t>(s_responses);
       } else {
         violate(round, "graceful shutdown never reported a saved snapshot");
       }

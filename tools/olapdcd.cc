@@ -28,10 +28,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,8 +82,6 @@ int Usage() {
       "  --no-register            disable POST /v1/schemas\n"
       "  --cache-budget-mb N      cross-request cache envelope (default "
       "32; 0 disables caching)\n"
-      "  --nogood-file PATH       load learned DIMSAT pruning on start, "
-      "save it on drain\n"
       "  --snapshot-file PATH     durable cache snapshot: recovered on "
       "start, rewritten on drain\n"
       "  --snapshot-interval-ms N also rewrite the snapshot every N ms off "
@@ -162,7 +158,6 @@ int Main(int argc, char** argv) {
   int64_t max_batch = 64;
   bool allow_register = true;
   int64_t cache_budget_mb = 32;
-  std::string nogood_file;
   std::string snapshot_file;
   int64_t snapshot_interval_ms = 0;
   std::vector<std::string> fault_sites;
@@ -256,8 +251,6 @@ int Main(int argc, char** argv) {
                           &cache_budget_mb)) {
         return Usage();
       }
-    } else if (arg == "--nogood-file") {
-      nogood_file = next();
     } else if (arg == "--snapshot-file") {
       snapshot_file = next();
     } else if (arg == "--snapshot-interval-ms") {
@@ -338,10 +331,7 @@ int Main(int argc, char** argv) {
   service_options.max_batch = static_cast<size_t>(max_batch);
   service_options.allow_register = allow_register;
 
-  // The cross-request cache plane (docs/caching.md). A warm restart
-  // against byte-identical schemas reloads the learned DIMSAT pruning;
-  // the epoch inside the file makes a stale load harmless (the store
-  // just stays cold).
+  // The cross-request response cache (docs/caching.md).
   std::unique_ptr<service::ServiceCaches> caches;
   if (cache_budget_mb > 0) {
     service::ServiceCaches::Options cache_options;
@@ -349,35 +339,15 @@ int Main(int argc, char** argv) {
         static_cast<uint64_t>(cache_budget_mb) << 20;
     caches = std::make_unique<service::ServiceCaches>(cache_options);
     service_options.caches = caches.get();
-    if (!nogood_file.empty()) {
-      std::ifstream in(nogood_file);
-      if (in) {
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        const Status loaded = caches->LoadNoGoods(buffer.str());
-        if (loaded.ok()) {
-          std::fprintf(stderr, "olapdcd: loaded no-good stores from %s\n",
-                       nogood_file.c_str());
-        } else {
-          std::fprintf(stderr,
-                       "olapdcd: ignoring no-good file %s: %s\n",
-                       nogood_file.c_str(), loaded.ToString().c_str());
-        }
-      }
-    }
-  } else if (!nogood_file.empty()) {
-    std::fprintf(stderr,
-                 "error: --nogood-file needs --cache-budget-mb > 0\n");
-    return 2;
   }
 
   // Crash recovery (docs/robustness.md "Crash durability & recovery"):
   // load the newest valid snapshot, salvaging a torn tail in place. A
   // missing, torn, or even completely corrupt snapshot must never stop
   // the daemon from starting — worst case it starts cold, exactly like
-  // a first boot. Epoch discipline is carried inside the sections
-  // (no-good stores and response keys name their content epochs), so a
-  // snapshot from before a schema change re-loads harmlessly cold.
+  // a first boot. Epoch discipline is carried inside the responses
+  // section (every key names its content epoch), so a snapshot from
+  // before a schema change re-loads harmlessly cold.
   uint64_t snapshot_seq = 1;
   if (caches != nullptr && !snapshot_file.empty()) {
     const auto recovery_start = std::chrono::steady_clock::now();
@@ -395,11 +365,11 @@ int Main(int argc, char** argv) {
         obs::Gauge("olapdc.durable.recovery_ms", recovery_ms);
         // The crash harness parses this line (before the listening
         // line, which loadgen tolerates); keep it stable.
-        std::printf("olapdcd recovered snapshot seq=%llu nogoods=%llu "
+        std::printf("olapdcd recovered snapshot seq=%llu responses=%llu "
                     "torn=%llu crc_drops=%llu\n",
                     static_cast<unsigned long long>(restored->seq),
                     static_cast<unsigned long long>(
-                        caches->NoGoodEntryCount()),
+                        caches->ResponseStats().entries),
                     static_cast<unsigned long long>(
                         read->torn_tail_truncations),
                     static_cast<unsigned long long>(read->crc_drops));
@@ -465,9 +435,11 @@ int Main(int argc, char** argv) {
   // it. A failed write (injected or real) leaves the previous snapshot
   // intact — that is the durable-file contract — so it is logged and
   // retried next tick.
+  uint64_t saved_responses = 0;
   auto write_snapshot = [&]() -> Status {
-    const std::vector<std::string> records =
-        service::BuildSnapshotRecords(snapshot_seq, registry, *caches);
+    const std::vector<std::string> records = service::BuildSnapshotRecords(
+        snapshot_seq, registry, *caches, service::SnapshotOptions{},
+        &saved_responses);
     DurableWriteStats stats;
     OLAPDC_RETURN_NOT_OK(WriteDurableFile(snapshot_file, records, &stats));
     ++snapshot_seq;
@@ -554,30 +526,14 @@ int Main(int argc, char** argv) {
     const Status status = write_snapshot();
     if (status.ok()) {
       // The crash harness parses this line; keep it stable.
-      std::printf("olapdcd snapshot saved seq=%llu nogoods=%llu\n",
+      std::printf("olapdcd snapshot saved seq=%llu responses=%llu\n",
                   static_cast<unsigned long long>(saved_seq),
-                  static_cast<unsigned long long>(
-                      caches->NoGoodEntryCount()));
+                  static_cast<unsigned long long>(saved_responses));
       std::fflush(stdout);
     } else {
       std::fprintf(stderr, "olapdcd: cannot write snapshot %s: %s\n",
                    snapshot_file.c_str(), status.ToString().c_str());
       persist_failed = true;
-    }
-  }
-  if (caches != nullptr && !nogood_file.empty()) {
-    std::ofstream out(nogood_file, std::ios::trunc);
-    out << caches->SerializeNoGoods();
-    out.close();
-    // The stream state after close() covers open, write, and flush
-    // failures alike; "saved" is only claimed when all three held.
-    if (out.fail()) {
-      std::fprintf(stderr, "olapdcd: cannot write no-good file %s\n",
-                   nogood_file.c_str());
-      persist_failed = true;
-    } else {
-      std::fprintf(stderr, "olapdcd: saved no-good stores to %s\n",
-                   nogood_file.c_str());
     }
   }
 
